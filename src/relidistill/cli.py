@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import consensus, curriculum, data, metrics, student, text_match
+from . import consensus, curriculum, data, fileio, metrics, student, text_match
 from .errors import ConfigError, DataError, StageError
 
 EXIT_OK = 0
@@ -225,8 +225,8 @@ def cmd_train(args) -> int:
         "stage_wall_time_s": {r.stage: r.wall_time_s for r in run.reports},
         "total_wall_time_s": time.perf_counter() - started,
     }
-    (out_dir / "timing.json").write_text(
-        json.dumps(timing, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    fileio.atomic_write_text(
+        out_dir / "timing.json", json.dumps(timing, indent=2, sort_keys=True) + "\n"
     )
     for report in run.reports:
         acc = "n/a" if report.accuracy is None else f"{report.accuracy:.4f}"
@@ -266,7 +266,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(result, indent=2, sort_keys=True)
     print(text)
     if args.out is not None:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        fileio.atomic_write_text(args.out, text + "\n")
     return EXIT_OK
 
 

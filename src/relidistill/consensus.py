@@ -21,6 +21,7 @@ TAG_RELIABLE = "R"
 TAG_LESS_RELIABLE = "LR"
 TAG_UNRELIABLE = "UR"
 TAGS = (TAG_RELIABLE, TAG_LESS_RELIABLE, TAG_UNRELIABLE)
+TIE_BREAKS = ("random", "lowest")
 
 
 @dataclass
@@ -76,29 +77,55 @@ class ReliabilityPartition:
         return {tag: int(np.sum(self.tags == tag)) for tag in TAGS}
 
 
-def _check_row(row: np.ndarray) -> np.ndarray:
-    row = np.asarray(row, dtype=np.int64).ravel()
-    if row.size == 0:
+def _check_rows(labels: np.ndarray) -> np.ndarray:
+    """An (N, M) label matrix whose rows are non-empty and fully labeled."""
+    if labels.shape[1] == 0:
         raise InvalidRowError("empty label row")
-    if np.any(row < 0):
+    if np.any(labels < 0):
         raise InvalidRowError("row contains unlabeled (-1) entries")
-    return row
+    return labels
 
 
-def agreement_count(row) -> int:
-    """Number of ordered pairs (m, n), m != n, with equal labels."""
-    row = _check_row(row)
-    if row.size < 2:
+def _check_row(row) -> np.ndarray:
+    return _check_rows(np.asarray(row, dtype=np.int64).reshape(1, -1))[0]
+
+
+def check_tie_break(tie_break: str) -> None:
+    """Reject an unknown mode tie-break policy before any work is done."""
+    if tie_break not in TIE_BREAKS:
+        raise ConfigError(f"unknown tie-break policy {tie_break!r}")
+
+
+def _class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(N, C) array: how many teachers gave each row each class.
+
+    Labels below C are a PseudoLabelMatrix invariant; -1 entries raise.
+    """
+    labels = _check_rows(labels)
+    offsets = n_classes * np.arange(labels.shape[0])[:, None]
+    flat = np.bincount((labels + offsets).ravel(), minlength=labels.shape[0] * n_classes)
+    return flat.reshape(labels.shape[0], n_classes)
+
+
+def agreement_count(labels):
+    """Number of ordered pairs (m, n), m != n, with equal labels.
+
+    One row gives an int; an (N, M) matrix gives per-row counts.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    single = labels.ndim != 2
+    rows = _check_rows(labels.reshape(1, -1) if single else labels)
+    m = rows.shape[1]
+    if m < 2:
         raise ConfigError("agreement needs at least 2 teachers")
-    _, counts = np.unique(row, return_counts=True)
-    return int(np.sum(counts * (counts - 1)))
+    # Each column matches itself once; those m self-pairs are not counted.
+    counts = sum((rows == rows[:, [t]]).sum(axis=1) for t in range(m)) - m
+    return int(counts[0]) if single else counts
 
 
 def reliability(row) -> float:
     """Agreeing ordered pairs over all M(M-1) ordered pairs, in [0, 1]."""
-    row = _check_row(row)
-    if row.size < 2:
-        raise ConfigError("reliability needs at least 2 teachers")
+    row = np.ravel(row)
     return agreement_count(row) / (row.size * (row.size - 1))
 
 
@@ -108,20 +135,12 @@ def partition(matrix: PseudoLabelMatrix) -> ReliabilityPartition:
     Tags come from the integer agreement count compared against 0 and
     M(M-1), so a sample can never be misfiled by float rounding.
     """
-    m = matrix.m
-    full = m * (m - 1)
-    scores = np.empty(matrix.n)
-    tags = np.empty(matrix.n, dtype="U2")
-    for i in range(matrix.n):
-        count = agreement_count(matrix.labels[i])
-        scores[i] = count / full
-        if count == full:
-            tags[i] = TAG_RELIABLE
-        elif count == 0:
-            tags[i] = TAG_UNRELIABLE
-        else:
-            tags[i] = TAG_LESS_RELIABLE
-    return ReliabilityPartition(scores=scores, tags=tags)
+    full = matrix.m * (matrix.m - 1)
+    counts = agreement_count(matrix.labels)
+    tags = np.full(matrix.n, TAG_LESS_RELIABLE, dtype="U2")
+    tags[counts == full] = TAG_RELIABLE
+    tags[counts == 0] = TAG_UNRELIABLE
+    return ReliabilityPartition(scores=counts / full, tags=tags)
 
 
 def mode_label(row, rng: np.random.Generator | None = None, tie_break: str = "random") -> int:
@@ -131,30 +150,33 @@ def mode_label(row, rng: np.random.Generator | None = None, tie_break: str = "ra
     or deterministically to the lowest class index with
     ``tie_break="lowest"``. A single-entry row is allowed.
     """
+    check_tie_break(tie_break)
     row = _check_row(row)
     values, counts = np.unique(row, return_counts=True)
     top = values[counts == counts.max()]
     if top.size == 1 or tie_break == "lowest":
         return int(top[0])
-    if tie_break != "random":
-        raise ConfigError(f"unknown tie-break policy {tie_break!r}")
     if rng is None:
         raise ConfigError("random tie-break needs a seeded rng")
     return int(top[rng.integers(top.size)])
 
 
 def mode_labels(
-    matrix: PseudoLabelMatrix, seed: int, tie_break: str = "random"
+    matrix: PseudoLabelMatrix, seed: int, tie_break: str = "random", purpose: int = MODE_TIE
 ) -> np.ndarray:
     """Per-row mode labels with the tie rng split per row.
 
-    Each row's rng is keyed by its sample index, so the result does not
-    depend on evaluation order or on which rows are consulted.
+    A tied row ``i`` under the random policy goes to :func:`mode_label`
+    with ``derive_rng(seed, purpose, i)``, so the result does not depend
+    on evaluation order or on which rows are consulted.
     """
-    out = np.empty(matrix.n, dtype=np.int64)
-    for i in range(matrix.n):
-        rng = derive_rng(seed, MODE_TIE, i) if tie_break == "random" else None
-        out[i] = mode_label(matrix.labels[i], rng=rng, tie_break=tie_break)
+    check_tie_break(tie_break)
+    counts = _class_counts(matrix.labels, matrix.n_classes)
+    out = counts.argmax(axis=1)  # lowest index among the most frequent
+    if tie_break == "random":
+        tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        for i in np.flatnonzero(tied):
+            out[i] = mode_label(matrix.labels[i], rng=derive_rng(seed, purpose, int(i)))
     return out
 
 
@@ -170,10 +192,7 @@ def multi_hot_mask(row, n_classes: int) -> np.ndarray:
 
 def multi_hot_masks(matrix: PseudoLabelMatrix) -> np.ndarray:
     """(N, C) boolean stack of per-row masks."""
-    masks = np.zeros((matrix.n, matrix.n_classes), dtype=bool)
-    for i in range(matrix.n):
-        masks[i] = multi_hot_mask(matrix.labels[i], matrix.n_classes)
-    return masks
+    return _class_counts(matrix.labels, matrix.n_classes) > 0
 
 
 def drop_incomplete_rows(matrix: PseudoLabelMatrix) -> tuple[PseudoLabelMatrix, list[str]]:

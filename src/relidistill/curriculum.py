@@ -7,13 +7,17 @@ Stage 3 (MMR) trains on everything: low-confidence predictions are
 restricted to the union of teacher-suggested classes, and a weak/strong
 consistency term regularizes the fit.
 
-Each stage starts from the previous stage's parameters; the whole run
-is a deterministic function of (features, pseudo-labels, configs, seed).
+Each stage starts from the previous stage's parameters and runs one
+shared training loop with its own sample pool and label rule; a
+non-finite loss or parameters raise StageError before that stage writes
+its checkpoint. The whole run is a deterministic function of
+(features, pseudo-labels, configs, seed).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,8 +27,9 @@ import numpy as np
 from .consensus import (
     PseudoLabelMatrix,
     ReliabilityPartition,
-    TAG_LESS_RELIABLE,
     TAG_RELIABLE,
+    TAG_UNRELIABLE,
+    check_tie_break,
     mode_label,
     mode_labels,
     multi_hot_mask,
@@ -33,6 +38,7 @@ from .consensus import (
 )
 from .data import FeatureDataset
 from .errors import ConfigError, DataError, StageError
+from .fileio import atomic_write_text
 from .seeding import AUGMENT, SHUFFLE, derive_rng
 from .student import (
     AugmentPolicy,
@@ -57,6 +63,7 @@ DEFAULT_LAMBDA_CONS = 0.5
 DEFAULT_HIDDEN_DIMS = [128]
 
 LOSS_SAMPLE_EVERY = 50
+F32_MAX = float(np.finfo(np.float32).max)  # checkpoints store float32
 
 
 @dataclass
@@ -138,12 +145,6 @@ class CurriculumRun:
     reports: list[TrainReport]
     checkpoint_paths: dict[str, str] = field(default_factory=dict)
 
-    def report_for(self, stage: str) -> TrainReport:
-        for report in self.reports:
-            if report.stage == stage:
-                return report
-        raise KeyError(stage)
-
 
 def validate_stage_configs(configs: list[StageConfig]) -> None:
     """Exactly one config per stage, in curriculum order."""
@@ -155,20 +156,47 @@ def validate_stage_configs(configs: list[StageConfig]) -> None:
         raise ConfigError(f"stage configs must be ordered {STAGES}, got {got}")
 
 
-def _stage_index(stage: str) -> int:
-    return STAGES.index(stage)
+def _train_stage(
+    model: StudentModel, cfg: StageConfig, pool: np.ndarray, seed: int, batch_loss
+) -> TrainReport:
+    """Train on minibatches of ``pool``, reshuffled each epoch (the short
+    tail batch is kept) from the stage's own shuffle stream.
+
+    ``batch_loss(iteration, batch)`` applies the stage's label rule to
+    the sample indices in ``batch`` and returns (loss, grads).
+    """
+    shuffle_rng = derive_rng(seed, SHUFFLE, STAGES.index(cfg.stage))
+    optimizer = init_optimizer(model, cfg.learning_rate)
+    curve: list[tuple[int, float]] = []
+    last_loss = float("nan")
+    batches_per_epoch = math.ceil(pool.size / cfg.batch_size)
+    for iteration in range(cfg.max_iter):
+        start = (iteration % batches_per_epoch) * cfg.batch_size
+        if start == 0:
+            order = pool[shuffle_rng.permutation(pool.size)]
+        loss, grads = batch_loss(iteration, order[start : start + cfg.batch_size])
+        if not math.isfinite(loss):
+            raise StageError(
+                f"{cfg.stage}: training diverged at iteration {iteration} (loss {loss})"
+            )
+        if iteration % LOSS_SAMPLE_EVERY == 0:
+            curve.append((iteration, loss))
+        optimizer_step(model, optimizer, grads)
+        last_loss = loss
+    return TrainReport(
+        stage=cfg.stage,
+        iterations=cfg.max_iter,
+        final_loss=last_loss,
+        loss_curve=curve,
+        touched_sample_indices=sorted(int(i) for i in pool),
+    )
 
 
-def _minibatches(indices: np.ndarray, batch_size: int, max_iter: int, rng):
-    """Uniform minibatching: reshuffle each epoch, keep the short tail."""
-    done = 0
-    while done < max_iter:
-        order = indices[rng.permutation(indices.size)]
-        for start in range(0, indices.size, batch_size):
-            if done >= max_iter:
-                return
-            yield done, order[start : start + batch_size]
-            done += 1
+def _smke_labels(probs: np.ndarray, teacher: np.ndarray, tau: float):
+    """Stage-2 rule: the student's argmax where its confidence reaches
+    ``tau``, else the teachers' label; returns (labels, student_flags)."""
+    use_student = probs.max(axis=1) >= tau
+    return np.where(use_student, probs.argmax(axis=1), teacher), use_student
 
 
 def smke_label(
@@ -184,10 +212,9 @@ def smke_label(
     Returns the student's own prediction when its confidence reaches
     ``tau``, otherwise the teachers' mode label.
     """
-    p, predicted = confidence(model, np.asarray(x, dtype=np.float64))
-    if p >= tau:
-        return int(predicted)
-    return mode_label(row, rng=rng, tie_break=tie_break)
+    teacher = mode_label(row, rng=rng, tie_break=tie_break)
+    labels, _ = _smke_labels(predict_proba(model, x), np.array([teacher]), tau)
+    return int(labels[0])
 
 
 def mmr_refine(
@@ -202,18 +229,15 @@ def mmr_refine(
     probs = np.asarray(probabilities, dtype=np.float64).ravel()
     if probs.shape[0] != n_classes:
         raise DataError("probability vector length != class count")
-    if float(probs.max()) >= tau:
-        return int(np.argmax(probs))
-    return int(np.argmax(probs * multi_hot_mask(row, n_classes)))
+    labels, _ = _refine_batch(probs[None, :], multi_hot_mask(row, n_classes)[None, :], tau)
+    return int(labels[0])
 
 
 def _refine_batch(probs: np.ndarray, masks: np.ndarray, tau: float):
     """Vectorized stage-3 refinement; returns (labels, confident_flags)."""
-    p = probs.max(axis=1)
-    confident = p >= tau
-    plain = probs.argmax(axis=1)
-    masked = (probs * masks).argmax(axis=1)
-    return np.where(confident, plain, masked).astype(np.int64), confident
+    confident = probs.max(axis=1) >= tau
+    labels = np.where(confident, probs.argmax(axis=1), (probs * masks).argmax(axis=1))
+    return labels.astype(np.int64), confident
 
 
 def run_rkt(
@@ -233,28 +257,12 @@ def run_rkt(
             "no fully-agreed samples to start from; review teacher quality "
             "or the pseudo-labeling step"
         )
-    labels = pl.labels[reliable, 0]  # unanimous rows: any column works
-    shuffle_rng = derive_rng(seed, SHUFFLE, _stage_index(STAGE_RKT))
-    optimizer = init_optimizer(model, cfg.learning_rate)
-    curve: list[tuple[int, float]] = []
-    last_loss = float("nan")
-    positions = np.arange(reliable.size)
-    for iteration, batch_pos in _minibatches(
-        positions, cfg.batch_size, cfg.max_iter, shuffle_rng
-    ):
-        batch = reliable[batch_pos]
-        loss, grads = loss_and_grads(model, X[batch], labels[batch_pos])
-        if iteration % LOSS_SAMPLE_EVERY == 0:
-            curve.append((iteration, loss))
-        optimizer_step(model, optimizer, grads)
-        last_loss = loss
-    return TrainReport(
-        stage=STAGE_RKT,
-        iterations=cfg.max_iter,
-        final_loss=last_loss,
-        loss_curve=curve,
-        touched_sample_indices=sorted(int(i) for i in reliable),
-    )
+
+    def batch_loss(iteration, batch):
+        # Unanimous rows: any teacher column holds the label.
+        return loss_and_grads(model, X[batch], pl.labels[batch, 0])
+
+    return _train_stage(model, cfg, reliable, seed, batch_loss)
 
 
 def run_smke(
@@ -274,38 +282,22 @@ def run_smke(
     """
     if cfg.stage != STAGE_SMKE:
         raise ConfigError(f"expected an SMKE config, got {cfg.stage}")
-    pool = np.sort(
-        np.concatenate([part.indices(TAG_RELIABLE), part.indices(TAG_LESS_RELIABLE)])
-    )
+    pool = np.flatnonzero(part.tags != TAG_UNRELIABLE)
     if pool.size == 0:
         raise StageError("no samples with any teacher agreement; SMKE cannot run")
     teacher_mode = mode_labels(pl, seed, tie_break=tie_break)
-    shuffle_rng = derive_rng(seed, SHUFFLE, _stage_index(STAGE_SMKE))
-    optimizer = init_optimizer(model, cfg.learning_rate)
-    curve: list[tuple[int, float]] = []
     sources = {"student": 0, "teacher": 0}
-    last_loss = float("nan")
-    for iteration, batch in _minibatches(pool, cfg.batch_size, cfg.max_iter, shuffle_rng):
+
+    def batch_loss(iteration, batch):
         probs = predict_proba(model, X[batch])
-        p = probs.max(axis=1)
-        own = probs.argmax(axis=1)
-        use_student = p >= cfg.tau
-        labels = np.where(use_student, own, teacher_mode[batch])
+        labels, use_student = _smke_labels(probs, teacher_mode[batch], cfg.tau)
         sources["student"] += int(use_student.sum())
         sources["teacher"] += int((~use_student).sum())
-        loss, grads = loss_and_grads(model, X[batch], labels)
-        if iteration % LOSS_SAMPLE_EVERY == 0:
-            curve.append((iteration, loss))
-        optimizer_step(model, optimizer, grads)
-        last_loss = loss
-    return TrainReport(
-        stage=STAGE_SMKE,
-        iterations=cfg.max_iter,
-        final_loss=last_loss,
-        loss_curve=curve,
-        label_sources=sources,
-        touched_sample_indices=sorted(int(i) for i in pool),
-    )
+        return loss_and_grads(model, X[batch], labels)
+
+    report = _train_stage(model, cfg, pool, seed, batch_loss)
+    report.label_sources = sources
+    return report
 
 
 def run_mmr(
@@ -330,37 +322,22 @@ def run_mmr(
     pool = np.arange(pl.n)
     if pool.size == 0:
         raise StageError("empty dataset; MMR cannot run")
-    masks = multi_hot_masks(pl).astype(np.float64)
-    shuffle_rng = derive_rng(seed, SHUFFLE, _stage_index(STAGE_MMR))
-    optimizer = init_optimizer(model, cfg.learning_rate)
+    masks = multi_hot_masks(pl)
     lam = float(cfg.lambda_cons)
-    curve: list[tuple[int, float]] = []
-    last_loss = float("nan")
-    for iteration, batch in _minibatches(pool, cfg.batch_size, cfg.max_iter, shuffle_rng):
-        weak_rng = derive_rng(seed, AUGMENT, 0, iteration)
-        strong_rng = derive_rng(seed, AUGMENT, 1, iteration)
-        x_weak = augment(X, policy, "weak", weak_rng)[batch]
-        x_strong = augment(X, policy, "strong", strong_rng)[batch]
-        probs_weak = predict_proba(model, x_weak)
-        refined, _ = _refine_batch(probs_weak, masks[batch], cfg.tau)
+
+    def batch_loss(iteration, batch):
+        x_weak = augment(X, policy, "weak", derive_rng(seed, AUGMENT, 0, iteration))[batch]
+        x_strong = augment(X, policy, "strong", derive_rng(seed, AUGMENT, 1, iteration))[batch]
+        refined, _ = _refine_batch(predict_proba(model, x_weak), masks[batch], cfg.tau)
         loss_sup, grads_weak = loss_and_grads(model, x_weak, refined)
         loss_cons, grads_strong = loss_and_grads(model, x_strong, refined)
         combined = [
             (gw + lam * gs, bw + lam * bs)
             for (gw, bw), (gs, bs) in zip(grads_weak, grads_strong)
         ]
-        loss = loss_sup + lam * loss_cons
-        if iteration % LOSS_SAMPLE_EVERY == 0:
-            curve.append((iteration, loss))
-        optimizer_step(model, optimizer, combined)
-        last_loss = loss
-    return TrainReport(
-        stage=STAGE_MMR,
-        iterations=cfg.max_iter,
-        final_loss=last_loss,
-        loss_curve=curve,
-        touched_sample_indices=sorted(int(i) for i in pool),
-    )
+        return loss_sup + lam * loss_cons, combined
+
+    return _train_stage(model, cfg, pool, seed, batch_loss)
 
 
 def _align(ds: FeatureDataset, pl: PseudoLabelMatrix):
@@ -393,6 +370,7 @@ def run_curriculum(
     A failed stage leaves earlier checkpoints in place.
     """
     validate_stage_configs(configs)
+    check_tie_break(tie_break)
     if policy is None:
         policy = AugmentPolicy()
     X, truths = _align(ds, pl)
@@ -415,6 +393,9 @@ def run_curriculum(
         else:
             report = run_mmr(model, X, part, pl, cfg, policy, seed)
         report.wall_time_s = time.perf_counter() - started
+        # NaN fails the comparison; so does anything float32 would round to inf.
+        if not all(np.all(np.abs(p) <= F32_MAX) for p in model.weights + model.biases):
+            raise StageError(f"{cfg.stage}: parameters are not finite in float32")
         if truths is not None:
             # Clean (unaugmented) forward pass on the aligned set.
             _, predicted = confidence(model, X)
@@ -477,6 +458,4 @@ def write_run_report(run: CurriculumRun, path: str | Path) -> None:
         },
         "stages": [report.to_json_dict() for report in run.reports],
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

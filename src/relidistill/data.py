@@ -21,6 +21,7 @@ import numpy as np
 
 from .consensus import PseudoLabelMatrix
 from .errors import ConfigError, DataError, ParseError
+from .fileio import atomic_write_bytes, atomic_write_text
 from .seeding import BLOBS, TEACHER_SIM, derive_rng
 from .text_match import ClassVocab
 
@@ -170,21 +171,23 @@ def save_features_binary(ds: FeatureDataset, path: str | Path) -> None:
     payload = bytearray(FEATURES_MAGIC)
     payload += struct.pack("<QQ", ds.n, ds.dim)
     payload += ds.features.astype("<f4").tobytes(order="C")
-    Path(path).write_bytes(bytes(payload))
+    atomic_write_bytes(path, bytes(payload))
 
 
 def load_class_vocab(path: str | Path) -> ClassVocab:
     """One class name per line; the line number is the class index."""
     with open(path, encoding="utf-8") as fh:
         names = [line.rstrip("\n") for line in fh]
-    names = [n for n in names if n.strip()]
+    for lineno, name in enumerate(names, start=1):
+        if not name.strip():
+            raise ParseError(f"{path}:{lineno}: blank class name")
     if len(names) < 2:
         raise ParseError(f"{path}: need at least 2 class names")
     return ClassVocab(names)
 
 
 def save_class_vocab(vocab: ClassVocab, path: str | Path) -> None:
-    Path(path).write_text("\n".join(vocab.names) + "\n", encoding="utf-8")
+    atomic_write_text(path, "\n".join(vocab.names) + "\n")
 
 
 def load_labels_csv(path: str | Path) -> dict[str, int]:

@@ -17,10 +17,10 @@ from .consensus import (
     PseudoLabelMatrix,
     ReliabilityPartition,
     agreement_count,
-    mode_label,
+    mode_labels,
 )
 from .errors import DataError
-from .seeding import ENSEMBLE, derive_rng
+from .seeding import ENSEMBLE
 
 
 def accuracy(predictions, truths) -> float:
@@ -39,10 +39,7 @@ def ensemble_baseline(pl: PseudoLabelMatrix, truths, seed: int = 0) -> float:
     truths = np.asarray(truths, dtype=np.int64)
     if truths.shape != (pl.n,):
         raise DataError("truths must align with the pseudo-label matrix")
-    votes = np.empty(pl.n, dtype=np.int64)
-    for i in range(pl.n):
-        votes[i] = mode_label(pl.labels[i], rng=derive_rng(seed, ENSEMBLE, i))
-    return accuracy(votes, truths)
+    return accuracy(mode_labels(pl, seed, purpose=ENSEMBLE), truths)
 
 
 @dataclass
@@ -112,19 +109,14 @@ def reliability_report(
     if part.scores.shape != (pl.n,):
         raise DataError("partition must align with the pseudo-label matrix")
 
-    counts = np.array([agreement_count(pl.labels[i]) for i in range(pl.n)])
+    counts = agreement_count(pl.labels)
+    votes = mode_labels(pl, seed, purpose=ENSEMBLE)
     bins: list[ReliabilityBin] = []
     full = pl.m * (pl.m - 1)
-    for level in sorted(set(int(c) for c in counts), reverse=True):
+    for level in map(int, np.unique(counts)[::-1]):
         members = np.flatnonzero(counts == level)
         if level > 0:
-            votes = np.array(
-                [
-                    mode_label(pl.labels[i], rng=derive_rng(seed, ENSEMBLE, int(i)))
-                    for i in members
-                ]
-            )
-            majority = accuracy(votes, truths[members])
+            majority = accuracy(votes[members], truths[members])
             per_teacher = None
         else:
             majority = None

@@ -68,11 +68,17 @@ def _as_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _hidden(model: StudentModel, X: np.ndarray) -> list[np.ndarray]:
+    """The batch input followed by each hidden layer's rectified output."""
+    activations = [X]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    return activations
+
+
 def forward(model: StudentModel, X: np.ndarray) -> np.ndarray:
     """Batch logits, shape (batch, C)."""
-    a = _as_batch(model, X)
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
+    a = _hidden(model, _as_batch(model, X))[-1]
     return a @ model.weights[-1] + model.biases[-1]
 
 
@@ -126,16 +132,8 @@ def loss_and_grads(model: StudentModel, X: np.ndarray, labels: np.ndarray):
     X = _as_batch(model, X)
     labels = np.asarray(labels, dtype=np.int64)
     n_layers = len(model.weights)
-    activations = [X]
-    pre = []
-    a = X
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
-    logits = a @ model.weights[-1] + model.biases[-1]
-    probs = softmax(logits)
+    activations = _hidden(model, X)
+    probs = softmax(activations[-1] @ model.weights[-1] + model.biases[-1])
     loss = cross_entropy(probs, labels)
 
     batch = X.shape[0]
@@ -146,7 +144,8 @@ def loss_and_grads(model: StudentModel, X: np.ndarray, labels: np.ndarray):
     for layer in reversed(range(n_layers)):
         grads[layer] = (activations[layer].T @ delta, delta.sum(axis=0))
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (pre[layer - 1] > 0)
+            # A rectified output is positive exactly where its input was.
+            delta = (delta @ model.weights[layer].T) * (activations[layer] > 0)
     return loss, grads
 
 
@@ -275,6 +274,8 @@ def load_checkpoint(path: str | Path) -> StudentModel:
     )
     if len(raw) != offset + 4 * n_params:
         raise ParseError(f"{path}: parameter payload size mismatch")
+    if not np.isfinite(np.frombuffer(raw, dtype="<f4", offset=offset)).all():
+        raise ParseError(f"{path}: non-finite parameters")
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims, layer_dims[1:]):
         w = np.frombuffer(raw, dtype="<f4", count=fan_in * fan_out, offset=offset)

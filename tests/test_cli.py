@@ -220,6 +220,27 @@ class TestTrainEval:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_divergent_training_exit_4(self, pipeline_dir, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        config = json.loads(write_run_config(tmp_path, pipeline_dir, out_dir).read_text())
+        config["stages"][0]["learning_rate"] = 1e200
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 4
+        assert "RKT" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint_rkt.bin").exists()
+
+    def test_unknown_tie_break_exit_2_before_training(self, pipeline_dir, tmp_path):
+        out_dir = tmp_path / "o"
+        config = json.loads(write_run_config(tmp_path, pipeline_dir, out_dir).read_text())
+        config["mode_tie_break"] = "bogus"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 2
+        assert not (out_dir / "checkpoint_rkt.bin").exists()
+
     def test_eval_with_labels_file(self, pipeline_dir, tmp_path):
         out_dir = tmp_path / "run_out"
         config = write_run_config(tmp_path, pipeline_dir, out_dir)

@@ -13,7 +13,7 @@ from relidistill.consensus import (
     write_partition_csv,
 )
 from relidistill.errors import ConfigError, DataError, InvalidRowError, ParseError
-from relidistill.seeding import MODE_TIE, derive_rng
+from relidistill.seeding import ENSEMBLE, MODE_TIE, derive_rng
 
 
 def brute_force_agreement(row) -> int:
@@ -26,6 +26,19 @@ def brute_force_agreement(row) -> int:
 
 
 label_rows = st.lists(st.integers(0, 11), min_size=2, max_size=5)
+
+
+@st.composite
+def label_matrices(draw):
+    """Fully labeled matrices: 2-6 teachers, 2-12 classes, 1-30 samples."""
+    m = draw(st.integers(2, 6))
+    c = draw(st.integers(2, 12))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, c - 1), min_size=m, max_size=m), min_size=1, max_size=30
+        )
+    )
+    return rd.PseudoLabelMatrix([f"s{i}" for i in range(len(rows))], np.array(rows), c)
 
 
 class TestReliability:
@@ -209,3 +222,53 @@ class TestMatrixPlumbing:
         assert lines[0] == "sample_id,score,tag"
         assert lines[1] == "a,1.0,R"
         assert lines[2] == "b,0.0,UR"
+
+
+class TestMatrixCallsMatchRowOracles:
+    """Each whole-matrix call equals the per-row function applied row by row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_matrices())
+    def test_agreement_count(self, matrix):
+        counts = rd.agreement_count(matrix.labels)
+        assert counts.tolist() == [rd.agreement_count(row) for row in matrix.labels]
+        assert isinstance(rd.agreement_count(matrix.labels[0]), int)
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_matrices())
+    def test_partition(self, matrix):
+        part = rd.partition(matrix)
+        full = matrix.m * (matrix.m - 1)
+        for i, row in enumerate(matrix.labels):
+            count = rd.agreement_count(row)
+            tag = {full: TAG_RELIABLE, 0: TAG_UNRELIABLE}.get(count, TAG_LESS_RELIABLE)
+            assert part.scores[i] == count / full
+            assert part.tags[i] == tag
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_matrices())
+    def test_multi_hot_masks(self, matrix):
+        expected = np.stack([rd.multi_hot_mask(row, matrix.n_classes) for row in matrix.labels])
+        assert np.array_equal(rd.multi_hot_masks(matrix), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        label_matrices(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([MODE_TIE, ENSEMBLE]),
+        st.sampled_from(["random", "lowest"]),
+    )
+    def test_mode_labels(self, matrix, seed, purpose, tie_break):
+        expected = [
+            rd.mode_label(row, rng=derive_rng(seed, purpose, i), tie_break=tie_break)
+            for i, row in enumerate(matrix.labels)
+        ]
+        got = rd.mode_labels(matrix, seed, tie_break=tie_break, purpose=purpose)
+        assert got.tolist() == expected
+
+    def test_unknown_tie_break_rejected_without_ties(self):
+        matrix = rd.PseudoLabelMatrix(["a", "b"], np.array([[1, 1], [2, 2]]), 3)
+        with pytest.raises(ConfigError):
+            rd.mode_labels(matrix, seed=0, tie_break="bogus")
+        with pytest.raises(ConfigError):
+            rd.mode_label([1, 1], tie_break="bogus")

@@ -358,3 +358,15 @@ class TestRunCurriculum:
             rd.run_curriculum(ds, pl, self._configs(), seed=3, checkpoint_dir=tmp_path)
         assert (tmp_path / "checkpoint_rkt.bin").exists()
         assert not (tmp_path / "checkpoint_smke.bin").exists()
+
+    def test_refuses_to_checkpoint_non_float32_parameters(self, small_teacher_setup, tmp_path):
+        # Finite in float64 but not in the float32 checkpoint: training
+        # runs, and the stage fails instead of writing an unloadable file.
+        ds, pl = small_teacher_setup
+        warm = rd.init_student([ds.dim, 16, 4], seed=40)
+        warm.biases[-1][0] = 1e39
+        with pytest.raises(StageError, match="RKT: parameters are not finite"):
+            rd.run_curriculum(
+                ds, pl, self._configs(), seed=3, checkpoint_dir=tmp_path, warm_start=warm
+            )
+        assert not (tmp_path / "checkpoint_rkt.bin").exists()

@@ -67,6 +67,13 @@ class TestFeatureIO:
         save_class_vocab(vocab, path)
         assert rd.load_class_vocab(path).names == vocab.names
 
+    def test_vocab_blank_line_rejected(self, tmp_path):
+        # Skipping the blank line would renumber "kettle" from class 2 to 1.
+        path = tmp_path / "vocab.txt"
+        path.write_text("car\n\nkettle\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":2:"):
+            rd.load_class_vocab(path)
+
     def test_labels_csv(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("sample_id,label\na,2\nb,0\n", encoding="utf-8")

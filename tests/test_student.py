@@ -261,6 +261,14 @@ class TestCheckpoints:
         with pytest.raises(ParseError):
             rd.load_checkpoint(path)
 
+    def test_non_finite_payload(self, tmp_path):
+        model = rd.init_student([3, 2], seed=1)
+        model.weights[0][1, 0] = np.nan
+        path = tmp_path / "m.bin"
+        rd.save_checkpoint(model, path)
+        with pytest.raises(ParseError, match="non-finite"):
+            rd.load_checkpoint(path)
+
 
 class TestTrainingDynamics:
     def test_smoothed_loss_decreases(self):
