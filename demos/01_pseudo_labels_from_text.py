@@ -2,8 +2,8 @@
 
 Frozen teacher models answer in prose, not class indices. This walk-through
 shows how a response like "The object is an alarm clock." is embedded,
-compared against every class name by cosine similarity, and assigned the
-argmax class, with no external model needed.
+compared against the whole class-name matrix by one cosine call, and
+assigned the argmax class, with no external model needed.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ print()
 vocab_emb = vocab.with_embeddings(backend)
 for text in responses:
     query = rd.embed_text(text, backend)
-    sims = [rd.sts(query.vector, vocab_emb.embeddings[c]) for c in range(len(vocab))]
+    sims = rd.sts(query, vocab_emb.embeddings)
     label = rd.assign_pseudo_label(rd.TeacherRecord("demo", 0, text), vocab, backend)
     pretty = "  ".join(f"{name}={s:.3f}" for name, s in zip(vocab.names, sims))
     print(f"{text!r}\n  -> {vocab.names[label]!r}   [{pretty}]")

@@ -66,7 +66,6 @@ from .text_match import (
     ClassVocab,
     PrecomputedTable,
     TeacherRecord,
-    TextEmbedding,
     TrigramEmbedder,
     assign_pseudo_label,
     embed_text,

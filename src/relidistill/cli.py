@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
 
     data.save_features_csv(ds, out_dir / "features.csv")
     data.save_class_vocab(vocab, out_dir / "vocab.txt")
-    with open(out_dir / "teachers.jsonl", "w", encoding="utf-8") as fh:
+    with fileio.atomic_open(out_dir / "teachers.jsonl", "w", encoding="utf-8") as fh:
         for i, sid in enumerate(matrix.sample_ids):
             for t in range(matrix.m):
                 record = {

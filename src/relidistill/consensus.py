@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, InvalidRowError, ParseError
+from .fileio import atomic_open
 from .seeding import MODE_TIE, derive_rng
 
 TAG_RELIABLE = "R"
@@ -212,7 +213,7 @@ def drop_incomplete_rows(matrix: PseudoLabelMatrix) -> tuple[PseudoLabelMatrix, 
 
 def write_matrix_csv(matrix: PseudoLabelMatrix, path: str | Path) -> None:
     """CSV with header ``sample_id,teacher_0,...,teacher_{M-1}``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id"] + [f"teacher_{t}" for t in range(matrix.m)])
         for i, sid in enumerate(matrix.sample_ids):
@@ -256,7 +257,7 @@ def write_partition_csv(
     """CSV with header ``sample_id,score,tag``."""
     if len(sample_ids) != part.scores.shape[0]:
         raise DataError("sample ids and partition length differ")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "score", "tag"])
         for sid, score, tag in zip(sample_ids, part.scores, part.tags):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .consensus import PseudoLabelMatrix
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_open, atomic_write_bytes, atomic_write_text
 from .seeding import BLOBS, TEACHER_SIM, derive_rng
 from .text_match import ClassVocab
 
@@ -140,10 +140,11 @@ def _load_features_binary(path: Path) -> FeatureDataset:
             f"{path}: declared {n}x{dim} needs {expected} bytes, file has {len(raw)}"
         )
     features = np.frombuffer(raw, dtype="<f4", offset=header_size).reshape(n, dim)
-    return FeatureDataset(
-        sample_ids=[f"s{i:05d}" for i in range(n)],
-        features=features.astype(np.float64),
-    )
+    return FeatureDataset(sample_ids=_binary_ids(n), features=features.astype(np.float64))
+
+
+def _binary_ids(n: int) -> list[str]:
+    return [f"s{i:05d}" for i in range(n)]
 
 
 def save_features_csv(ds: FeatureDataset, path: str | Path) -> None:
@@ -156,7 +157,7 @@ def save_features_csv(ds: FeatureDataset, path: str | Path) -> None:
     if ds.true_labels is not None:
         header.append("label")
     as_f32 = ds.features.astype(np.float32)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, sid in enumerate(ds.sample_ids):
@@ -167,7 +168,16 @@ def save_features_csv(ds: FeatureDataset, path: str | Path) -> None:
 
 
 def save_features_binary(ds: FeatureDataset, path: str | Path) -> None:
-    """Write the binary layout; ids and labels are not stored by design."""
+    """Write the binary layout; ids and labels are not stored by design.
+
+    The loader names row i ``s{i:05d}``, so a dataset with any other ids
+    raises :class:`DataError` rather than reloading with rows relabelled.
+    """
+    if ds.sample_ids != _binary_ids(ds.n):
+        raise DataError(
+            f"{path}: the binary format stores no sample ids and needs "
+            f"s00000, s00001, ... in order; use the CSV format"
+        )
     payload = bytearray(FEATURES_MAGIC)
     payload += struct.pack("<QQ", ds.n, ds.dim)
     payload += ds.features.astype("<f4").tobytes(order="C")

@@ -3,22 +3,38 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
+from contextlib import contextmanager
 from pathlib import Path
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    """Write-temp-then-rename so readers never see a partial file."""
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs):
+    """Open a temp file beside ``path``; rename it over ``path`` on success.
+
+    Takes the arguments of :func:`open`. Readers never see a partial
+    file: if the body raises, the temp file is removed and ``path``
+    keeps its old content.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    # Exclusive create like tempfile.mkstemp, but with the permissions
+    # the umask gives a plain open() rather than mkstemp's 0600.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    with atomic_open(path, "wb") as fh:
+        fh.write(payload)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

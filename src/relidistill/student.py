@@ -213,7 +213,6 @@ class AugmentPolicy:
     sigma_weak: float = 0.05
     sigma_strong: float = 0.2
     p_drop: float = 0.1
-    seed: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_weak <= self.sigma_strong:

@@ -1,9 +1,10 @@
 """Free-form teacher text to closed-set class labels.
 
 Frozen teachers answer in free text ("The object is an alarm clock."),
-so each response is embedded and matched against class-name embeddings
-by cosine similarity; the argmax class becomes the pseudo-label. Two
-embedding backends are supported:
+so each response is embedded and matched against the (C, d) matrix of
+class-name embeddings by one cosine call; the argmax class becomes the
+pseudo-label. Two embedding backends are supported, and both return a
+plain float64 vector:
 
 * ``PrecomputedTable`` -- a TSV of text -> vector pairs produced offline
   by any sentence embedder.
@@ -12,7 +13,8 @@ embedding backends are supported:
   assets.
 
 Both are deterministic. Text that equals a class name verbatim (after
-normalization) short-circuits to that class under either backend.
+normalization) short-circuits to that class under either backend, and a
+batch labels each distinct text once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,31 +64,18 @@ def _bucket(trigram: str) -> int:
     return ((h * _GOLDEN64) & _MASK64) >> _BUCKET_SHIFT
 
 
-@dataclass(frozen=True, eq=False)
-class TextEmbedding:
-    """A real vector for one text plus the backend that produced it."""
-
-    vector: np.ndarray
-    source: str  # "precomputed" or "ngram"
-
-    @property
-    def is_zero(self) -> bool:
-        """All-zero vectors mean "unmatchable text" and must not enter cosines."""
-        return not np.any(self.vector)
-
-
 class TrigramEmbedder:
     """Hashed character-trigram counts, L2-normalized.
 
     Normalized texts shorter than three characters are right-padded with
     spaces, so every non-empty normalized text embeds to a unit vector.
-    Text that normalizes to the empty string embeds to the zero vector.
+    Text that normalizes to the empty string embeds to the zero vector,
+    which means "unmatchable text" and must not enter cosines.
     """
 
-    source = "ngram"
     dim = TRIGRAM_DIM
 
-    def embed(self, text: str) -> TextEmbedding:
+    def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim)
         normalized = normalize_text(text)
         if normalized:
@@ -95,7 +83,7 @@ class TrigramEmbedder:
             for i in range(len(padded) - 2):
                 vec[_bucket(padded[i : i + 3])] += 1.0
             vec /= math.sqrt(float(vec @ vec))
-        return TextEmbedding(vec, self.source)
+        return vec
 
 
 class PrecomputedTable:
@@ -105,8 +93,6 @@ class PrecomputedTable:
     Lookups match the raw text exactly; a miss raises
     :class:`LookupMissError` naming the text.
     """
-
-    source = "precomputed"
 
     def __init__(self, table: dict[str, np.ndarray], dim: int):
         if not table:
@@ -143,41 +129,48 @@ class PrecomputedTable:
                 table[text] = vec
         return cls(table, dim)
 
-    def embed(self, text: str) -> TextEmbedding:
+    def embed(self, text: str) -> np.ndarray:
         vec = self.table.get(text)
         if vec is None:
             raise LookupMissError(f"no precomputed embedding for text {text!r}")
-        return TextEmbedding(vec, self.source)
+        return vec
 
 
 Embedder = TrigramEmbedder | PrecomputedTable
 
 
-def embed_text(text: str, backend: Embedder) -> TextEmbedding:
+def embed_text(text: str, backend: Embedder) -> np.ndarray:
     """Embed ``text`` with the chosen backend; deterministic per input."""
     return backend.embed(text)
 
 
-def sts(a: TextEmbedding | np.ndarray, b: TextEmbedding | np.ndarray) -> float:
-    """Cosine similarity in [-1, 1].
+def sts(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Cosine similarity in [-1, 1] of vector ``a`` with ``b``.
 
-    The denominator is ``sqrt(dot(a,a) * dot(b,b))``; because IEEE-754
-    square root is correctly rounded, identical vectors score exactly 1.0.
+    ``b`` is one vector, giving a float, or a (C, d) matrix, giving the C
+    similarities of ``a`` with its rows; one vector is computed as the
+    one-row matrix. Numerators and squared norms come from the same
+    reduction and IEEE-754 square root is correctly rounded, so identical
+    vectors score exactly 1.0.
     """
-    va = a.vector if isinstance(a, TextEmbedding) else np.asarray(a, dtype=np.float64)
-    vb = b.vector if isinstance(b, TextEmbedding) else np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
+    rows = vb.reshape(1, -1) if vb.ndim == 1 else vb
+    if va.ndim != 1 or rows.ndim != 2 or rows.shape[1] != va.shape[0]:
         raise ShapeMismatchError(f"embedding dimensions differ: {va.shape} vs {vb.shape}")
-    ma = float(np.max(np.abs(va))) if va.size else 0.0
-    mb = float(np.max(np.abs(vb))) if vb.size else 0.0
-    if ma == 0.0 or mb == 0.0:
+    ma = np.max(np.abs(va), initial=0.0)
+    mb = np.max(np.abs(rows), axis=1, keepdims=True, initial=0.0)
+    if ma == 0.0 or not np.all(mb):
         raise UndefinedSimilarityError("cosine of an all-zero vector is undefined")
     # Prescale by the max-abs entry: cosine is scale-invariant and the
     # squared norms land in [1, d], where they cannot under- or overflow.
     va = va / ma
-    vb = vb / mb
-    sim = float(va @ vb) / math.sqrt(float(va @ va) * float(vb @ vb))
-    return min(1.0, max(-1.0, sim))
+    rows = rows / mb
+    sims = np.einsum("cd,d->c", rows, va) / np.sqrt(
+        np.einsum("d,d->", va, va) * np.einsum("cd,cd->c", rows, rows)
+    )
+    sims = np.clip(sims, -1.0, 1.0)
+    return float(sims[0]) if vb.ndim == 1 else sims
 
 
 @dataclass
@@ -185,7 +178,10 @@ class ClassVocab:
     """Ordered closed label set; the class index is the list position.
 
     ``embeddings``, when present, is a (C, d) array of unit-norm rows
-    aligned with ``names``.
+    aligned with ``names``. ``name_index`` maps each normalized name to
+    its class; names must be distinct and non-empty after
+    :func:`normalize_text`, the same folding the verbatim short-circuit
+    and the trigram embedder apply.
     """
 
     names: list[str]
@@ -194,11 +190,12 @@ class ClassVocab:
     def __post_init__(self):
         if len(self.names) < 2:
             raise ConfigError("a class vocabulary needs at least 2 classes")
-        if any(not name.strip() for name in self.names):
-            raise ConfigError("class names must be non-empty")
-        folded = [_WS_RE.sub(" ", name.lower()).strip() for name in self.names]
-        if len(set(folded)) != len(folded):
-            raise ConfigError("class names must be unique after case/whitespace folding")
+        normalized = [normalize_text(name) for name in self.names]
+        if not all(normalized):
+            raise ConfigError("class names must be non-empty after normalization")
+        self.name_index: dict[str, int] = {name: c for c, name in enumerate(normalized)}
+        if len(self.name_index) != len(normalized):
+            raise ConfigError("class names must be unique after normalization")
         if self.embeddings is not None:
             emb = np.asarray(self.embeddings, dtype=np.float64)
             if emb.ndim != 2 or emb.shape[0] != len(self.names):
@@ -211,10 +208,6 @@ class ClassVocab:
     def __len__(self) -> int:
         return len(self.names)
 
-    @cached_property
-    def normalized_names(self) -> list[str]:
-        return [normalize_text(name) for name in self.names]
-
     def with_embeddings(self, backend: Embedder) -> "ClassVocab":
         """Copy of the vocab with class-name embeddings from ``backend``.
 
@@ -223,10 +216,9 @@ class ClassVocab:
         """
         rows = []
         for name in self.names:
-            emb = embed_text(name, backend)
-            if emb.is_zero:
+            vec = embed_text(name, backend)
+            if not np.any(vec):
                 raise ConfigError(f"class name {name!r} embeds to the zero vector")
-            vec = emb.vector.astype(np.float64)
             rows.append(vec / math.sqrt(float(vec @ vec)))
         return ClassVocab(list(self.names), np.array(rows))
 
@@ -283,22 +275,21 @@ def assign_pseudo_label(record: TeacherRecord, vocab: ClassVocab, backend: Embed
     the trigram backend, missing from a precomputed table) raises
     :class:`UnlabeledSampleError`.
     """
-    normalized = normalize_text(record.raw_text)
-    if normalized in vocab.normalized_names:
-        return vocab.normalized_names.index(normalized)
+    verbatim = vocab.name_index.get(normalize_text(record.raw_text))
+    if verbatim is not None:
+        return verbatim
     try:
         query = embed_text(record.raw_text, backend)
     except LookupMissError as exc:
         raise UnlabeledSampleError(str(exc)) from exc
-    if query.is_zero:
+    if not np.any(query):
         raise UnlabeledSampleError(
             f"text {record.raw_text!r} has no embeddable content"
         )
     class_emb = vocab.embeddings
     if class_emb is None:
         class_emb = vocab.with_embeddings(backend).embeddings
-    sims = np.array([sts(query.vector, class_emb[c]) for c in range(len(vocab))])
-    return int(np.argmax(sims))
+    return int(np.argmax(sts(query, class_emb)))
 
 
 @dataclass
@@ -321,10 +312,11 @@ def label_records(
     """Convert an ingestion batch into a pseudo-label matrix.
 
     Samples keep their first-appearance order, so output never depends
-    on how the work is scheduled. Teacher ids must cover 0..M-1. A
-    sample missing any teacher's label (un-embeddable text or absent
-    record) is dropped under the ``drop`` policy or raises under
-    ``error``.
+    on how the work is scheduled. Each distinct raw text is labeled once
+    by :func:`assign_pseudo_label`, which depends on nothing else in the
+    record. Teacher ids must cover 0..M-1. A sample missing any teacher's
+    label (un-embeddable text or absent record) is dropped under the
+    ``drop`` policy or raises under ``error``.
     """
     from .consensus import PseudoLabelMatrix
 
@@ -340,27 +332,28 @@ def label_records(
     if n_teachers < 2:
         raise ConfigError("need at least 2 teachers")
 
-    sample_order: list[str] = []
-    seen: set[str] = set()
+    row_of: dict[str, int] = {}
     for record in records:
-        if record.sample_id not in seen:
-            seen.add(record.sample_id)
-            sample_order.append(record.sample_id)
-    row_of = {sid: i for i, sid in enumerate(sample_order)}
+        row_of.setdefault(record.sample_id, len(row_of))
+    sample_order = list(row_of)
 
     vocab = vocab if vocab.embeddings is not None else vocab.with_embeddings(backend)
+    label_of: dict[str, int] = {}  # raw text -> class, -1 when unlabelable
     labels = np.full((len(sample_order), n_teachers), -1, dtype=np.int64)
     for record in records:
-        try:
-            labels[row_of[record.sample_id], record.teacher_id] = assign_pseudo_label(
-                record, vocab, backend
+        label = label_of.get(record.raw_text)
+        if label is None:
+            try:
+                label = assign_pseudo_label(record, vocab, backend)
+            except UnlabeledSampleError:
+                label = -1
+            label_of[record.raw_text] = label
+        if label < 0 and on_unlabeled == "error":
+            raise UnlabeledSampleError(
+                f"sample {record.sample_id!r}, teacher {record.teacher_id}: "
+                f"text {record.raw_text!r} could not be labeled"
             )
-        except UnlabeledSampleError:
-            if on_unlabeled == "error":
-                raise UnlabeledSampleError(
-                    f"sample {record.sample_id!r}, teacher {record.teacher_id}: "
-                    f"text {record.raw_text!r} could not be labeled"
-                ) from None
+        labels[row_of[record.sample_id], record.teacher_id] = label
 
     complete = np.all(labels >= 0, axis=1)
     if on_unlabeled == "error" and not np.all(complete):

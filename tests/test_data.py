@@ -7,7 +7,7 @@ from relidistill.data import (
     load_labels_csv,
     save_class_vocab,
 )
-from relidistill.errors import ConfigError, ParseError
+from relidistill.errors import ConfigError, DataError, ParseError
 from relidistill.student import init_optimizer, init_student, loss_and_grads, optimizer_step
 
 
@@ -33,6 +33,15 @@ class TestFeatureIO:
         rd.save_features_binary(ds, path)
         loaded = rd.load_features(path)
         assert np.array_equal(loaded.features, feats)
+
+    @pytest.mark.parametrize("ids", [["s00001", "s00000"], ["a", "b"]])
+    def test_binary_refuses_ids_it_cannot_store(self, tmp_path, ids):
+        # Rows reload as s00000, s00001, ...; any other ids would come
+        # back silently relabelled, so nothing is written.
+        ds = rd.FeatureDataset(ids, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(DataError):
+            rd.save_features_binary(ds, tmp_path / "f.bin")
+        assert not list(tmp_path.iterdir())
 
     def test_csv_and_binary_identical(self, tmp_path):
         ds = rd.make_blobs(40, 3, 5, 0.7, seed=4)

@@ -53,28 +53,27 @@ class TestTrigramEmbedder:
         self.embedder = rd.TrigramEmbedder()
 
     def test_deterministic(self):
-        a = self.embedder.embed("car").vector
-        b = self.embedder.embed("car").vector
+        a = self.embedder.embed("car")
+        b = self.embedder.embed("car")
         assert np.array_equal(a, b)
 
     def test_single_trigram_one_bucket(self):
-        vec = self.embedder.embed("abc").vector
+        vec = self.embedder.embed("abc")
         assert np.count_nonzero(vec) == 1
         assert vec.max() == 1.0
 
     def test_unit_norm_any_nonempty(self):
         for text in ("a", "ab", "abc", "alarm clock", "x" * 100):
-            vec = self.embedder.embed(text).vector
+            vec = self.embedder.embed(text)
             assert math.isclose(float(vec @ vec), 1.0, rel_tol=1e-12)
 
     def test_empty_text_zero_flag(self):
-        emb = self.embedder.embed("")
-        assert emb.is_zero
-        assert self.embedder.embed("?!").is_zero
+        assert not np.any(self.embedder.embed(""))
+        assert not np.any(self.embedder.embed("?!"))
 
     def test_case_and_punctuation_insensitive(self):
-        a = self.embedder.embed("Alarm Clock!").vector
-        b = self.embedder.embed("alarm   clock").vector
+        a = self.embedder.embed("Alarm Clock!")
+        b = self.embedder.embed("alarm   clock")
         assert np.array_equal(a, b)
 
 
@@ -88,7 +87,7 @@ class TestPrecomputedTable:
         path = self._write(tmp_path, ["car\t1 0 0", "bike\t0 1 0"])
         table = rd.PrecomputedTable.load(path)
         assert table.dim == 3
-        assert np.array_equal(table.embed("car").vector, [1.0, 0.0, 0.0])
+        assert np.array_equal(table.embed("car"), [1.0, 0.0, 0.0])
 
     def test_missing_key_names_text(self, tmp_path):
         path = self._write(tmp_path, ["car\t1 0"])
@@ -150,6 +149,36 @@ class TestSts:
         assert s1 == s2
         assert -1.0 <= s1 <= 1.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 24).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d),
+                st.lists(
+                    st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d),
+                    min_size=1,
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    def test_matrix_equals_row_calls(self, qm):
+        q, m = np.array(qm[0]), np.array(qm[1])
+        if not np.any(q) or not np.all(np.any(m, axis=1)):
+            with pytest.raises(UndefinedSimilarityError):
+                rd.sts(q, m)
+            return
+        sims = rd.sts(q, m)
+        assert sims.shape == (len(m),)
+        assert sims.tobytes() == np.array([rd.sts(q, row) for row in m]).tobytes()
+        assert rd.sts(m[0], np.stack([m[0], q]))[0] == 1.0
+
+    def test_matrix_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            rd.sts(np.ones(3), np.ones((2, 4)))
+        with pytest.raises(ShapeMismatchError):
+            rd.sts(np.ones((1, 3)), np.ones(3))
+
     def test_positive_rescaling_invariant_argmax(self):
         rng = np.random.default_rng(1)
         q = rng.normal(size=8)
@@ -167,6 +196,16 @@ class TestClassVocab:
     def test_rejects_case_duplicate_names(self):
         with pytest.raises(ConfigError):
             rd.ClassVocab(["Car", "car  "])
+
+    @pytest.mark.parametrize(
+        "names", [["t-shirt", "t shirt", "sock"], ["Alarm-Clock", "alarm clock!"], ["??", "car"]]
+    )
+    def test_rejects_names_equal_or_empty_after_normalization(self, names):
+        # The verbatim short-circuit and the trigram embedder both see
+        # normalize_text(name); two names that fold together would leave
+        # the second class unreachable.
+        with pytest.raises(ConfigError):
+            rd.ClassVocab(names)
 
     def test_rejects_non_unit_embeddings(self):
         with pytest.raises(ConfigError):
@@ -305,3 +344,81 @@ class TestLabelRecords:
         records = [rd.TeacherRecord("s0", 0, "car"), rd.TeacherRecord("s0", 2, "car")]
         with pytest.raises(Exception):
             rd.label_records(records, vocab, rd.TrigramEmbedder())
+
+
+LABEL_POOL = (
+    "car", "Car!", "a red car", "the bicycle", "kettle", "bike kettle car",
+    "", "?!", "Audi",
+)
+
+
+def per_record_oracle(records, vocab, backend, on_unlabeled):
+    """The unshared loop: assign_pseudo_label once per record."""
+    order = list(dict.fromkeys(r.sample_id for r in records))
+    n_teachers = max(r.teacher_id for r in records) + 1
+    labels = np.full((len(order), n_teachers), -1)
+    for r in records:
+        try:
+            labels[order.index(r.sample_id), r.teacher_id] = rd.assign_pseudo_label(
+                r, vocab, backend
+            )
+        except UnlabeledSampleError:
+            if on_unlabeled == "error":
+                return f"sample {r.sample_id!r}, teacher {r.teacher_id}:"
+    complete = labels.min(axis=1) >= 0
+    return [sid for sid, ok in zip(order, complete) if ok], labels[complete]
+
+
+@st.composite
+def record_lists(draw):
+    n_samples = draw(st.integers(1, 6))
+    n_teachers = draw(st.integers(2, 3))
+    cells = [(i, t) for i in range(n_samples) for t in range(n_teachers)]
+    cells = draw(st.permutations(cells))
+    texts = draw(
+        st.lists(st.sampled_from(LABEL_POOL), min_size=len(cells), max_size=len(cells))
+    )
+    return [rd.TeacherRecord(f"s{i}", t, text) for (i, t), text in zip(cells, texts)]
+
+
+# Under the ngram backend "" and "?!" have no content; the table also
+# misses "Car!" and "bike kettle car", and "Audi" ties car with kettle.
+BACKENDS = (
+    rd.TrigramEmbedder(),
+    rd.PrecomputedTable(
+        {
+            "car": np.array([1.0, 0.0, 0.0]),
+            "bicycle": np.array([0.0, 1.0, 0.0]),
+            "kettle": np.array([0.0, 0.0, 1.0]),
+            "a red car": np.array([0.9, 0.1, 0.0]),
+            "the bicycle": np.array([0.1, 0.8, 0.1]),
+            "Audi": np.array([0.5, 0.0, 0.5]),
+        },
+        dim=3,
+    ),
+)
+
+
+class TestLabelRecordsMatchesPerRecordOracle:
+    vocab = rd.ClassVocab(["car", "bicycle", "kettle"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(record_lists(), st.sampled_from(("drop", "error")), st.sampled_from(BACKENDS))
+    def test_matches_oracle(self, records, on_unlabeled, backend):
+        expected = per_record_oracle(records, self.vocab, backend, on_unlabeled)
+        if isinstance(expected, str):
+            with pytest.raises(UnlabeledSampleError) as exc:
+                rd.label_records(records, self.vocab, backend, on_unlabeled=on_unlabeled)
+            # The first failing record in input order is the one named.
+            assert str(exc.value).startswith(expected)
+            return
+        matrix, summary = rd.label_records(
+            records, self.vocab, backend, on_unlabeled=on_unlabeled
+        )
+        sample_ids, labels = expected
+        assert matrix.sample_ids == sample_ids
+        assert np.array_equal(matrix.labels, labels)
+        assert summary.n_samples_in == len(dict.fromkeys(r.sample_id for r in records))
+        assert summary.dropped_sample_ids == [
+            r for r in dict.fromkeys(r.sample_id for r in records) if r not in sample_ids
+        ]
