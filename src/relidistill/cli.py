@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 import time
+import typing
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_STAGE = 4
+
+# Top-level keys of the simulate and train configs, with their types
+# (see _typed); teachers, stages and augment are read into dataclasses.
+_SIMULATE_KEYS = {
+    "n_samples": int, "n_classes": int, "dim": int, "spread": float, "seed": int,
+    "teachers": list, "class_names": list[str] | None,
+}
+_TRAIN_KEYS = {
+    "seed": int, "stages": list, "augment": dict, "paths": dict, "hidden_dims": list[int],
+    "mode_tie_break": str, "warm_start_checkpoint": str | None,
+}
+_PATH_KEYS = dict.fromkeys(("features", "pseudo_labels", "vocab", "output_dir"), str)
 
 
 def _parse_backend(value: str):
@@ -53,60 +67,98 @@ def _require_files(*paths: str | Path) -> None:
             raise DataError(f"input file not found: {path}")
 
 
-def _load_json(path: str | Path) -> dict:
+def _read_config(args, keys: dict, required) -> dict:
+    """The top-level object of ``args.config``, checked by :func:`_read_object`;
+    a ``--seed`` given on the command line first replaces its ``seed``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+        raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
+    if args.seed is not None and isinstance(obj, dict):
+        obj["seed"] = args.seed
+    return _read_object(obj, "", keys, required)
+
+
+def _typed(value, tp, where: str):
+    """``value`` checked against ``tp`` (int, float, str, dict, list[T], T | None);
+    a float also takes an integer in float range, and a bool is never a number."""
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return None
+        tp, args = args[0], typing.get_args(args[0])
+    base = typing.get_origin(tp) or tp
+    if base is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if not isinstance(value, base) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected {base.__name__}, got {value!r}")
+    if args:
+        return [_typed(item, args[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    return value
+
+
+def _read_object(obj, where: str, types: dict, required) -> dict:
+    """The typed values of the JSON object at key path ``where`` ("" for
+    the top level), whose keys must lie in ``types`` and cover ``required``."""
+    label = where or "config"
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return obj
+        raise ConfigError(f"{label}: expected a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise ConfigError(f"{label}: unknown key(s) {unknown}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{label}: missing key(s) {missing}")
+    prefix = f"{where}." if where else ""
+    return {key: _typed(value, types[key], prefix + key) for key, value in obj.items()}
+
+
+def _from_json(cls, obj, where: str, **defaults):
+    """Dataclass ``cls`` from a JSON object keyed by its fields; ``defaults``
+    add to or replace the field defaults, and a field with neither is required."""
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.name not in defaults]
+    values = _read_object(obj, where, typing.get_type_hints(cls), required)
+    return cls(**{**defaults, **values})
+
+
+def parse_stage_configs(raw: list) -> list[curriculum.StageConfig]:
+    """Stage configs from JSON objects, in curriculum order.
+
+    Stage names are case-insensitive; omitted ``tau``/``lambda_cons``
+    take the stage's ``curriculum.STAGE_DEFAULTS``.
+    """
+    configs = []
+    for i, entry in enumerate(raw):
+        stage = entry.get("stage") if isinstance(entry, dict) else None
+        if isinstance(stage, str):
+            stage = stage.upper()
+            entry = {**curriculum.STAGE_DEFAULTS.get(stage, {}), **entry, "stage": stage}
+        configs.append(_from_json(curriculum.StageConfig, entry, f"stages[{i}]"))
+    curriculum.validate_stage_configs(configs)
+    return configs
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_json(args.config)
-    try:
-        n_samples = int(spec["n_samples"])
-        n_classes = int(spec["n_classes"])
-        dim = int(spec["dim"])
-        spread = float(spec["spread"])
-        seed = int(spec["seed"]) if args.seed is None else args.seed
-        teacher_specs = spec["teachers"]
-    except KeyError as exc:
-        raise ConfigError(f"simulate config: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulate config: {exc}") from None
-    if not isinstance(teacher_specs, list) or len(teacher_specs) < 2:
-        raise ConfigError("simulate config: need a list of >= 2 teachers")
-
+    required = ("n_samples", "n_classes", "dim", "spread", "seed", "teachers")
+    spec = _read_config(args, _SIMULATE_KEYS, required)
+    n_classes = spec["n_classes"]
+    specs = [
+        _from_json(data.SimTeacherSpec, entry, f"teachers[{i}]", seed=spec["seed"])
+        for i, entry in enumerate(spec["teachers"])
+    ]
     names = spec.get("class_names") or [f"class {c:02d}" for c in range(n_classes)]
     if len(names) != n_classes:
         raise ConfigError("class_names length must equal n_classes")
-    vocab = text_match.ClassVocab([str(n) for n in names])
+    vocab = text_match.ClassVocab(names)
 
-    specs = []
-    for entry in teacher_specs:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"bad teacher spec: {entry!r}")
-        try:
-            specs.append(
-                data.SimTeacherSpec(
-                    accuracy=float(entry["accuracy"]),
-                    confusion=str(entry.get("confusion", data.CONFUSION_UNIFORM)),
-                    correlation=float(entry.get("correlation", 0.0)),
-                    seed=int(entry.get("seed", seed)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad teacher spec {entry!r}: {exc}") from None
+    ds = data.make_blobs(spec["n_samples"], n_classes, spec["dim"], spec["spread"], spec["seed"])
+    matrix = data.simulate_teachers(ds, specs, n_classes=n_classes)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ds = data.make_blobs(n_samples, n_classes, dim, spread, seed)
-    matrix = data.simulate_teachers(ds, specs, n_classes=n_classes)
 
     data.save_features_csv(ds, out_dir / "features.csv")
     data.save_class_vocab(vocab, out_dir / "vocab.txt")
@@ -120,7 +172,7 @@ def cmd_simulate(args) -> int:
                 }
                 fh.write(json.dumps(record) + "\n")
     print(
-        f"simulated {n_samples} samples x {dim} dims, {n_classes} classes, "
+        f"simulated {ds.n} samples x {ds.dim} dims, {n_classes} classes, "
         f"{len(specs)} teachers -> {out_dir}"
     )
     return EXIT_OK
@@ -166,40 +218,22 @@ def cmd_partition(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_json(args.config)
-    try:
-        paths = cfg["paths"]
-        features_path = paths["features"]
-        pl_path = paths["pseudo_labels"]
-        vocab_path = paths["vocab"]
-        out_dir = Path(args.out if args.out is not None else paths["output_dir"])
-        seed = int(cfg["seed"]) if args.seed is None else args.seed
-        stage_cfgs = curriculum.parse_stage_configs(cfg["stages"])
-    except KeyError as exc:
-        raise ConfigError(f"train config: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train config: {exc}") from None
-    try:
-        aug = cfg.get("augment", {})
-        policy = student.AugmentPolicy(
-            sigma_weak=float(aug.get("sigma_weak", 0.05)),
-            sigma_strong=float(aug.get("sigma_strong", 0.2)),
-            p_drop=float(aug.get("p_drop", 0.1)),
-        )
-        hidden = [int(h) for h in cfg.get("hidden_dims", curriculum.DEFAULT_HIDDEN_DIMS)]
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"train config: {exc}") from None
-    tie_break = str(cfg.get("mode_tie_break", "random"))
+    cfg = _read_config(args, _TRAIN_KEYS, ("seed", "stages", "paths"))
+    paths = cfg["paths"] if args.out is None else {**cfg["paths"], "output_dir": args.out}
+    paths = _read_object(paths, "paths", _PATH_KEYS, required=_PATH_KEYS)
+    out_dir = Path(paths["output_dir"])
+    stage_cfgs = parse_stage_configs(cfg["stages"])
+    policy = _from_json(student.AugmentPolicy, cfg.get("augment", {}), "augment")
     warm = cfg.get("warm_start_checkpoint")
 
-    _require_files(features_path, pl_path, vocab_path)
+    _require_files(paths["features"], paths["pseudo_labels"], paths["vocab"])
     if warm is not None:
         _require_files(warm)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ds = data.load_features(features_path)
-    vocab = data.load_class_vocab(vocab_path)
-    matrix = consensus.read_matrix_csv(pl_path, n_classes=len(vocab))
+    ds = data.load_features(paths["features"])
+    vocab = data.load_class_vocab(paths["vocab"])
+    matrix = consensus.read_matrix_csv(paths["pseudo_labels"], n_classes=len(vocab))
     matrix, dropped = consensus.drop_incomplete_rows(matrix)
     if dropped:
         print(f"excluded {len(dropped)} pseudo-label rows with unlabeled entries")
@@ -210,11 +244,11 @@ def cmd_train(args) -> int:
         ds,
         matrix,
         stage_cfgs,
-        seed,
+        cfg["seed"],
         policy=policy,
-        hidden_dims=hidden,
+        hidden_dims=cfg.get("hidden_dims"),
         checkpoint_dir=out_dir,
-        tie_break=tie_break,
+        tie_break=cfg.get("mode_tie_break", "random"),
         warm_start=warm_model,
     )
 

@@ -58,8 +58,9 @@ STAGE_SMKE = "SMKE"
 STAGE_MMR = "MMR"
 STAGES = (STAGE_RKT, STAGE_SMKE, STAGE_MMR)
 
-DEFAULT_TAU = {STAGE_SMKE: 0.7, STAGE_MMR: 0.95}
-DEFAULT_LAMBDA_CONS = 0.5
+# Values a stage config read from JSON takes for the keys it omits.
+STAGE_DEFAULTS = {STAGE_SMKE: {"tau": 0.7}, STAGE_MMR: {"tau": 0.95, "lambda_cons": 0.5}}
+DEFAULT_LAMBDA_CONS = STAGE_DEFAULTS[STAGE_MMR]["lambda_cons"]
 DEFAULT_HIDDEN_DIMS = [128]
 
 LOSS_SAMPLE_EVERY = 50
@@ -141,7 +142,6 @@ class CurriculumRun:
     """Result bundle of a full three-stage run."""
 
     seed: int
-    configs: list[StageConfig]
     reports: list[TrainReport]
     checkpoint_paths: dict[str, str] = field(default_factory=dict)
 
@@ -367,7 +367,8 @@ def run_curriculum(
 
     Training sees only the feature view of ``ds``; true labels, when
     present, feed the per-stage accuracy report and nothing else.
-    A failed stage leaves earlier checkpoints in place.
+    A failed stage leaves earlier checkpoints in place. ``hidden_dims``
+    None means ``DEFAULT_HIDDEN_DIMS``; ``[]`` gives a linear student.
     """
     validate_stage_configs(configs)
     check_tie_break(tie_break)
@@ -380,10 +381,10 @@ def run_curriculum(
             raise ConfigError("warm-start checkpoint does not match data dims")
         model = warm_start.copy()
     else:
-        dims = [X.shape[1], *(hidden_dims or DEFAULT_HIDDEN_DIMS), pl.n_classes]
-        model = init_student(dims, seed)
+        hidden = DEFAULT_HIDDEN_DIMS if hidden_dims is None else hidden_dims
+        model = init_student([X.shape[1], *hidden, pl.n_classes], seed)
 
-    run = CurriculumRun(seed=seed, configs=list(configs), reports=[])
+    run = CurriculumRun(seed=seed, reports=[])
     for cfg in configs:
         started = time.perf_counter()
         if cfg.stage == STAGE_RKT:
@@ -406,42 +407,6 @@ def run_curriculum(
             save_checkpoint(model, path)
             run.checkpoint_paths[cfg.stage] = str(path)
     return model, run
-
-
-def parse_stage_configs(raw: list[dict]) -> list[StageConfig]:
-    """Stage configs from JSON dicts, filling documented defaults.
-
-    ``tau`` defaults to 0.7 (SMKE) and 0.95 (MMR); ``lambda_cons``
-    defaults to 0.5 for MMR.
-    """
-    configs = []
-    for entry in raw:
-        if not isinstance(entry, dict) or "stage" not in entry:
-            raise ConfigError(f"bad stage config entry: {entry!r}")
-        stage = str(entry["stage"]).upper()
-        known = {"stage", "learning_rate", "batch_size", "max_iter", "tau", "lambda_cons"}
-        unknown = set(entry) - known
-        if unknown:
-            raise ConfigError(f"{stage}: unknown config keys {sorted(unknown)}")
-        try:
-            tau = entry.get("tau", DEFAULT_TAU.get(stage))
-            lam = entry.get("lambda_cons", DEFAULT_LAMBDA_CONS if stage == STAGE_MMR else None)
-            configs.append(
-                StageConfig(
-                    stage=stage,
-                    learning_rate=float(entry["learning_rate"]),
-                    batch_size=int(entry["batch_size"]),
-                    max_iter=int(entry["max_iter"]),
-                    tau=None if tau is None else float(tau),
-                    lambda_cons=None if lam is None else float(lam),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{stage}: missing config key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{stage}: bad config value: {exc}") from None
-    validate_stage_configs(configs)
-    return configs
 
 
 def write_run_report(run: CurriculumRun, path: str | Path) -> None:

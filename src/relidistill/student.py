@@ -23,6 +23,11 @@ CHECKPOINT_MAGIC = b"RCLM0001"
 
 PROB_FLOOR = 1e-12  # clamp before logs; saturated softmax otherwise underflows
 
+# Adaptive-moment decay rates and the update's denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class StudentModel:
@@ -159,18 +164,15 @@ class OptimizerState:
     """Adaptive-moment state; accumulators always mirror parameter shapes."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     moments1: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     moments2: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
-def init_optimizer(model: StudentModel, learning_rate: float, **kwargs) -> OptimizerState:
+def init_optimizer(model: StudentModel, learning_rate: float) -> OptimizerState:
     if learning_rate <= 0:
         raise ConfigError("learning rate must be positive")
-    state = OptimizerState(learning_rate=learning_rate, **kwargs)
+    state = OptimizerState(learning_rate=learning_rate)
     for w, b in zip(model.weights, model.biases):
         state.moments1.append((np.zeros_like(w), np.zeros_like(b)))
         state.moments2.append((np.zeros_like(w), np.zeros_like(b)))
@@ -182,8 +184,8 @@ def optimizer_step(model: StudentModel, state: OptimizerState, grads) -> None:
     if len(grads) != len(model.weights):
         raise ShapeMismatchError("gradient list does not match model layers")
     state.step += 1
-    correction1 = 1.0 - state.beta1**state.step
-    correction2 = 1.0 - state.beta2**state.step
+    correction1 = 1.0 - BETA1**state.step
+    correction2 = 1.0 - BETA2**state.step
     for layer, (gw, gb) in enumerate(grads):
         params = (model.weights[layer], model.biases[layer])
         for param, grad, m, v in zip(
@@ -193,13 +195,11 @@ def optimizer_step(model: StudentModel, state: OptimizerState, grads) -> None:
                 raise ShapeMismatchError(
                     f"gradient shape {grad.shape} != parameter shape {param.shape}"
                 )
-            m *= state.beta1
-            m += (1.0 - state.beta1) * grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * grad * grad
-            param -= state.learning_rate * (m / correction1) / (
-                np.sqrt(v / correction2) + state.epsilon
-            )
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
+            param -= state.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + EPSILON)
 
 
 @dataclass

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from relidistill.cli import main
+from relidistill.cli import main, parse_stage_configs
+from relidistill.curriculum import StageConfig
+from relidistill.student import load_checkpoint
 
 SIM_SPEC = {
     "n_samples": 240,
@@ -304,3 +306,95 @@ class TestSimulate:
             outs.append(out)
         for name in ("features.csv", "vocab.txt", "teachers.jsonl"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def edited(config: dict, path: tuple, value) -> dict:
+    """A deep copy of ``config`` with the key or index at ``path`` set to ``value``."""
+    config = json.loads(json.dumps(config))
+    target = config
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return config
+
+
+# (command, where to edit, bad value, what stderr must name); each of these
+# used to exit 0, except the float overflow, which crashed with exit 1.
+MISCONFIGURATIONS = [
+    ("train", ("hidden_dims",), "16", "hidden_dims"),
+    ("train", ("hiden_dims",), [16], "hiden_dims"),
+    ("train", ("warm_start_checkpoit",), "ckpt.bin", "warm_start_checkpoit"),
+    ("train", ("augment", "sigma_wek"), 0.01, "sigma_wek"),
+    ("train", ("augment",), [0.05, 0.2, 0.1], "augment"),
+    ("train", ("stages", 1, "batch_size"), 64.5, "stages[1].batch_size"),
+    ("train", ("stages", 0, "learning_rate"), "1e-3", "stages[0].learning_rate"),
+    ("train", ("stages", 0, "learning_rate"), 10**400, "stages[0].learning_rate"),
+    ("train", ("stages", 2, "tau"), True, "stages[2].tau"),
+    ("simulate", ("teachers", 0, "confussion"), "adjacent-class", "confussion"),
+    ("simulate", ("class_names",), "abcd", "class_names"),
+    ("simulate", ("n_samples",), 120.9, "n_samples"),
+    ("simulate", ("teachers", 1, "seed"), 2.7, "teachers[1].seed"),
+]
+
+MISCONFIGURATION_IDS = [
+    f"{command}-{'.'.join(map(str, path))}-{type(value).__name__}"
+    for command, path, value, _ in MISCONFIGURATIONS
+]
+
+
+class TestStrictConfigs:
+    @pytest.mark.parametrize(
+        "command, path, value, named",
+        MISCONFIGURATIONS,
+        ids=MISCONFIGURATION_IDS,
+    )
+    def test_misconfiguration_exit_2(self, command, path, value, named, tmp_path, request, capsys):
+        out = tmp_path / "out"
+        if command == "train":
+            pipeline = request.getfixturevalue("pipeline_dir")
+            config = json.loads(write_run_config(tmp_path, pipeline, out).read_text())
+        else:
+            config = SIM_SPEC
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edited(config, path, value)), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not list(out.glob("checkpoint_*.bin"))
+        assert not (out / "train_report.json").exists()
+        assert not (out / "teachers.jsonl").exists()
+
+    def test_well_typed_values_keep_their_meaning(self):
+        cfgs = parse_stage_configs(
+            [
+                {"stage": "rkt", "learning_rate": 1, "batch_size": 8, "max_iter": 2},
+                {"stage": "Smke", "learning_rate": 1e-3, "batch_size": 8, "max_iter": 2},
+                {"stage": "MMR", "learning_rate": 1e-3, "batch_size": 8, "max_iter": 2,
+                 "tau": 1, "lambda_cons": 0},
+            ]
+        )
+        assert cfgs == [
+            StageConfig("RKT", 1.0, 8, 2),
+            StageConfig("SMKE", 1e-3, 8, 2, tau=0.7),
+            StageConfig("MMR", 1e-3, 8, 2, tau=1.0, lambda_cons=0.0),
+        ]
+        assert type(cfgs[0].learning_rate) is float and type(cfgs[2].tau) is float
+
+    def test_out_flag_replaces_output_dir(self, pipeline_dir, tmp_path):
+        config = json.loads(write_run_config(tmp_path, pipeline_dir, tmp_path / "o").read_text())
+        del config["paths"]["output_dir"]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 2
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o2")]) == 0
+        assert (tmp_path / "o2" / "checkpoint_mmr.bin").exists()
+
+    def test_empty_hidden_dims_trains_a_linear_student(self, pipeline_dir, tmp_path):
+        out = tmp_path / "o"
+        config = json.loads(write_run_config(tmp_path, pipeline_dir, out).read_text())
+        config["hidden_dims"] = []
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 0
+        model = load_checkpoint(out / "checkpoint_mmr.bin")
+        assert model.layer_dims == [SIM_SPEC["dim"], SIM_SPEC["n_classes"]]

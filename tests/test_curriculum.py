@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import relidistill as rd
+from relidistill.cli import parse_stage_configs
 from relidistill.consensus import TAG_LESS_RELIABLE, TAG_RELIABLE, partition
 from relidistill.curriculum import (
     DEFAULT_LAMBDA_CONS,
     _refine_batch,
-    parse_stage_configs,
     run_mmr,
     run_rkt,
     run_smke,
