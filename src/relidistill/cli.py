@@ -69,7 +69,8 @@ def _require_files(*paths: str | Path) -> None:
 
 def _read_config(args, keys: dict, required) -> dict:
     """The top-level object of ``args.config``, checked by :func:`_read_object`;
-    a ``--seed`` given on the command line first replaces its ``seed``."""
+    a ``--seed`` given on the command line first replaces its ``seed``, which
+    must be non-negative."""
     try:
         with open(args.config, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -79,7 +80,10 @@ def _read_config(args, keys: dict, required) -> dict:
         raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
     if args.seed is not None and isinstance(obj, dict):
         obj["seed"] = args.seed
-    return _read_object(obj, "", keys, required)
+    cfg = _read_object(obj, "", keys, required)
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed: must be non-negative, got {cfg['seed']}")
+    return cfg
 
 
 def _typed(value, tp, where: str):

@@ -39,7 +39,7 @@ from .consensus import (
 from .data import FeatureDataset
 from .errors import ConfigError, DataError, StageError
 from .fileio import atomic_write_text
-from .seeding import AUGMENT, SHUFFLE, derive_rng
+from .seeding import SHUFFLE, derive_rng
 from .student import (
     AugmentPolicy,
     StudentModel,
@@ -311,11 +311,13 @@ def run_mmr(
 ) -> TrainReport:
     """Stage 3: full-set training with masked refinement and consistency.
 
-    Per iteration the noise grids cover the whole dataset and are keyed
-    by (view, iteration), so each sample's perturbation is a function of
-    (sample index, iteration) alone, independent of batch membership.
-    Confidence and the refined label come from the weak view; the
-    combined loss is sup + lambda_cons * cons.
+    Only the batch rows are perturbed, each keyed by (view, iteration,
+    sample index), so a sample's noise is independent of batch
+    membership. Confidence and the refined label come from the weak
+    view; the combined loss is sup + lambda_cons * cons.
+    ``label_sources`` counts refined labels that kept the confident
+    argmax ("confident") and those restricted to the teachers' classes
+    ("masked").
     """
     if cfg.stage != STAGE_MMR:
         raise ConfigError(f"expected an MMR config, got {cfg.stage}")
@@ -324,11 +326,14 @@ def run_mmr(
         raise StageError("empty dataset; MMR cannot run")
     masks = multi_hot_masks(pl)
     lam = float(cfg.lambda_cons)
+    sources = {"confident": 0, "masked": 0}
 
     def batch_loss(iteration, batch):
-        x_weak = augment(X, policy, "weak", derive_rng(seed, AUGMENT, 0, iteration))[batch]
-        x_strong = augment(X, policy, "strong", derive_rng(seed, AUGMENT, 1, iteration))[batch]
-        refined, _ = _refine_batch(predict_proba(model, x_weak), masks[batch], cfg.tau)
+        x_weak = augment(X[batch], batch, policy, "weak", seed, iteration)
+        x_strong = augment(X[batch], batch, policy, "strong", seed, iteration)
+        refined, confident = _refine_batch(predict_proba(model, x_weak), masks[batch], cfg.tau)
+        sources["confident"] += int(confident.sum())
+        sources["masked"] += int((~confident).sum())
         loss_sup, grads_weak = loss_and_grads(model, x_weak, refined)
         loss_cons, grads_strong = loss_and_grads(model, x_strong, refined)
         combined = [
@@ -337,7 +342,9 @@ def run_mmr(
         ]
         return loss_sup + lam * loss_cons, combined
 
-    return _train_stage(model, cfg, pool, seed, batch_loss)
+    report = _train_stage(model, cfg, pool, seed, batch_loss)
+    report.label_sources = sources
+    return report
 
 
 def _align(ds: FeatureDataset, pl: PseudoLabelMatrix):

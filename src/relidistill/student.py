@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, ShapeMismatchError
 from .fileio import atomic_write_bytes
-from .seeding import INIT, derive_rng
+from .seeding import AUGMENT, INIT, derive_rng, keyed_uniform
 
 CHECKPOINT_MAGIC = b"RCLM0001"
 
@@ -221,23 +221,47 @@ class AugmentPolicy:
             raise ConfigError("p_drop must lie in [0, 1]")
 
 
+_VIEWS = ("weak", "strong")
+
+
 def augment(
-    X: np.ndarray, policy: AugmentPolicy, view: str, rng: np.random.Generator
+    X: np.ndarray,
+    rows: np.ndarray,
+    policy: AugmentPolicy,
+    view: str,
+    seed: int,
+    iteration: int,
 ) -> np.ndarray:
-    """One augmented view; draw order is noise first, then the drop mask."""
+    """One augmented view of the samples whose indices are ``rows``.
+
+    Each row's perturbation is keyed by (seed, view, iteration, sample
+    index) through one :func:`keyed_uniform` draw, so a sample gets the
+    same noise whichever batch it sits in. The first lanes feed
+    Box-Muller normals; the strong view's drop mask reads its own lanes
+    after them.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if view == "weak":
-        if policy.sigma_weak == 0.0:
-            return X.copy()
-        return X + rng.normal(0.0, policy.sigma_weak, X.shape)
-    if view == "strong":
-        out = X.copy() if policy.sigma_strong == 0.0 else X + rng.normal(
-            0.0, policy.sigma_strong, X.shape
-        )
-        if policy.p_drop > 0.0:
-            out[rng.random(X.shape) < policy.p_drop] = 0.0
-        return out
-    raise ConfigError(f"unknown view {view!r}")
+    if view not in _VIEWS:
+        raise ConfigError(f"unknown view {view!r}")
+    if X.ndim != 2 or np.shape(rows) != X.shape[:1]:
+        raise ShapeMismatchError(f"{np.shape(rows)} row indices for input of shape {X.shape}")
+    sigma = policy.sigma_weak if view == "weak" else policy.sigma_strong
+    p_drop = policy.p_drop if view == "strong" else 0.0
+    if sigma == 0.0 and p_drop == 0.0:
+        return X.copy()
+    dim = X.shape[1]
+    half = (dim + 1) // 2
+    u = keyed_uniform(
+        seed, AUGMENT, _VIEWS.index(view), iteration,
+        rows=rows, width=2 * half + (dim if p_drop > 0.0 else 0),
+    )
+    radius = np.sqrt(-2.0 * np.log(u[:, :half]))
+    angle = 2.0 * np.pi * u[:, half : 2 * half]
+    noise = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :dim]
+    out = X + sigma * noise
+    if p_drop > 0.0:
+        out[u[:, 2 * half :] < p_drop] = 0.0
+    return out
 
 
 def save_checkpoint(model: StudentModel, path: str | Path) -> None:

@@ -364,6 +364,21 @@ class TestStrictConfigs:
         assert not (out / "train_report.json").exists()
         assert not (out / "teachers.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    def test_negative_seed_exit_2_creates_nothing(self, command, tmp_path, request, capsys):
+        out = tmp_path / "out"
+        if command == "train":
+            pipeline = request.getfixturevalue("pipeline_dir")
+            config = json.loads(write_run_config(tmp_path, pipeline, out).read_text())
+        else:
+            config = SIM_SPEC
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edited(config, ("seed",), -2)), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_well_typed_values_keep_their_meaning(self):
         cfgs = parse_stage_configs(
             [

@@ -30,6 +30,14 @@ def model_with_confidence(p_max: float, predicted: int, n_classes: int = 3):
     return model, x
 
 
+def rows_trained(n: int, cfg) -> int:
+    """Rows a stage over ``n`` samples sees; each epoch ends in a short batch."""
+    per_epoch = math.ceil(n / cfg.batch_size)
+    return sum(
+        min(cfg.batch_size, n - (i % per_epoch) * cfg.batch_size) for i in range(cfg.max_iter)
+    )
+
+
 class TestStageConfig:
     def test_tau_required_for_smke(self):
         with pytest.raises(ConfigError):
@@ -282,6 +290,33 @@ class TestRunMmr:
         cfg = rd.StageConfig("MMR", 1e-3, 64, 20, tau=0.95, lambda_cons=0.5)
         report = run_mmr(model, ds.features, part, pl, cfg, rd.AugmentPolicy(), seed=13)
         assert report.touched_sample_indices == list(range(pl.n))
+
+    def test_label_sources_count_every_trained_row(self, small_teacher_setup):
+        ds, pl = small_teacher_setup
+        part = partition(pl)
+        cfg = rd.StageConfig("MMR", 1e-3, 64, 25, tau=0.5, lambda_cons=0.5)
+        reports = []
+        for _ in range(2):
+            model = rd.init_student([ds.dim, 16, 4], seed=14)
+            reports.append(run_mmr(model, ds.features, part, pl, cfg, rd.AugmentPolicy(), seed=14))
+        sources = reports[0].label_sources
+        assert set(sources) == {"confident", "masked"}
+        assert sources["confident"] + sources["masked"] == rows_trained(pl.n, cfg)
+        assert sources["confident"] > 0 and sources["masked"] > 0
+        assert reports[0].to_json_dict() == reports[1].to_json_dict()
+        assert reports[0].to_json_dict()["label_sources"] == sources
+
+    def test_tau_endpoints_label_sources(self, small_teacher_setup):
+        ds, pl = small_teacher_setup
+        part = partition(pl)
+        model = rd.init_student([ds.dim, 16, 4], seed=6)
+        p, _ = rd.confidence(model, ds.features)
+        assert np.all(p < 1.0)
+        for tau, never in ((0.0, "masked"), (1.0, "confident")):
+            cfg = rd.StageConfig("MMR", 1e-4, 64, 30, tau=tau, lambda_cons=0.5)
+            report = run_mmr(model.copy(), ds.features, part, pl, cfg, rd.AugmentPolicy(), seed=6)
+            assert report.label_sources[never] == 0
+            assert sum(report.label_sources.values()) == rows_trained(pl.n, cfg)
 
     def test_refine_batch_respects_mask(self):
         rng = np.random.default_rng(3)

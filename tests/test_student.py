@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relidistill as rd
 from relidistill.errors import ConfigError, ParseError, ShapeMismatchError
@@ -181,26 +183,89 @@ class TestAugment:
     def test_identity_when_disabled(self):
         X = np.random.default_rng(0).normal(size=(10, 4))
         policy = rd.AugmentPolicy(0.0, 0.0, 0.0)
-        rng = np.random.default_rng(1)
-        assert np.array_equal(rd.augment(X, policy, "weak", rng), X)
-        assert np.array_equal(rd.augment(X, policy, "strong", rng), X)
+        rows = np.arange(10)
+        assert np.array_equal(rd.augment(X, rows, policy, "weak", 1, 0), X)
+        assert np.array_equal(rd.augment(X, rows, policy, "strong", 1, 0), X)
 
     def test_weak_noise_variance(self):
         X = np.zeros((1000, 100))
         policy = rd.AugmentPolicy(0.05, 0.2, 0.0)
-        out = rd.augment(X, policy, "weak", np.random.default_rng(2))
+        out = rd.augment(X, np.arange(1000), policy, "weak", 2, 0)
+        assert np.isfinite(out).all()
         var = float(out.var())
         assert abs(var - 0.05**2) / 0.05**2 < 0.05
 
     def test_full_drop_zeroes_everything(self):
         X = np.random.default_rng(3).normal(size=(20, 5))
         policy = rd.AugmentPolicy(0.0, 0.0, 1.0)
-        out = rd.augment(X, policy, "strong", np.random.default_rng(4))
+        out = rd.augment(X, np.arange(20), policy, "strong", 4, 0)
         assert not np.any(out)
 
     def test_unknown_view(self):
         with pytest.raises(ConfigError):
-            rd.augment(np.zeros((1, 1)), rd.AugmentPolicy(), "medium", np.random.default_rng(0))
+            rd.augment(np.zeros((1, 1)), np.arange(1), rd.AugmentPolicy(), "medium", 0, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 10**9), min_size=1, max_size=12, unique=True),
+        st.integers(0, 2**40),
+        st.integers(0, 10**6),
+        st.randoms(),
+    )
+    def test_rows_do_not_depend_on_batch(self, rows, seed, iteration, rnd):
+        X = np.random.default_rng(len(rows)).normal(size=(len(rows), 7))
+        rows = np.array(rows)
+        policy = rd.AugmentPolicy(0.05, 0.2, 0.3)
+        order = np.array(rnd.sample(range(len(rows)), len(rows)))
+        other = np.array([r for r in rnd.sample(range(10**9), 5) if r not in rows], dtype=np.int64)
+        for view in ("weak", "strong"):
+            batch = rd.augment(X, rows, policy, view, seed, iteration)
+            permuted = rd.augment(X[order], rows[order], policy, view, seed, iteration)
+            assert np.array_equal(permuted, batch[order])
+            mixed = rd.augment(
+                np.vstack([np.zeros((other.size, 7)), X]), np.concatenate([other, rows]),
+                policy, view, seed, iteration,
+            )
+            assert np.array_equal(mixed[other.size :], batch)
+            for i in range(len(rows)):
+                alone = rd.augment(X[i : i + 1], rows[i : i + 1], policy, view, seed, iteration)
+                assert np.array_equal(alone[0], batch[i])
+
+    def test_seed_view_and_iteration_change_the_noise(self):
+        X = np.zeros((6, 5))
+        rows = np.arange(40, 46)
+        policy = rd.AugmentPolicy(0.1, 0.1, 0.0)
+        base = rd.augment(X, rows, policy, "weak", 6, 3)
+        for other in (
+            rd.augment(X, rows, policy, "weak", 7, 3),
+            rd.augment(X, rows, policy, "strong", 6, 3),
+            rd.augment(X, rows, policy, "weak", 6, 4),
+        ):
+            assert not np.any(other == base)
+
+    @pytest.mark.parametrize("p_drop", [0.0, 0.1, 0.5])
+    def test_drop_share(self, p_drop):
+        out = rd.augment(
+            np.ones((2000, 500)), np.arange(2000), rd.AugmentPolicy(0.0, 0.0, p_drop),
+            "strong", 12, 3,
+        )
+        share = float(np.mean(out == 0.0))
+        assert abs(share - p_drop) <= 0.01 * p_drop
+        assert np.all((out == 0.0) | (out == 1.0))
+
+    def test_bad_keys_rejected(self):
+        X = np.zeros((2, 3))
+        policy = rd.AugmentPolicy()
+        with pytest.raises(ConfigError):
+            rd.augment(X, np.array([0, -1]), policy, "weak", 0, 0)
+        with pytest.raises(ConfigError):
+            rd.augment(X, np.arange(2), policy, "strong", -3, 0)
+        with pytest.raises(ConfigError):
+            rd.augment(X, np.arange(2), policy, "weak", 0, -1)
+        with pytest.raises(ShapeMismatchError):
+            rd.augment(X, np.arange(3), policy, "weak", 0, 0)
+        with pytest.raises(ShapeMismatchError):
+            rd.augment(np.zeros(2), np.arange(2), policy, "weak", 0, 0)
 
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
