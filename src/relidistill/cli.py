@@ -61,12 +61,6 @@ def _parse_seed(value: str) -> int:
     return seed
 
 
-def _require_files(*paths: str | Path) -> None:
-    for path in paths:
-        if not Path(path).is_file():
-            raise DataError(f"input file not found: {path}")
-
-
 def _read_config(args, keys: dict, required) -> dict:
     """The top-level object of ``args.config``, checked by :func:`_read_object`;
     a ``--seed`` given on the command line first replaces its ``seed``, which
@@ -183,7 +177,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_label(args) -> int:
-    _require_files(args.records, args.vocab)
     records = text_match.read_teacher_records(args.records)
     vocab = data.load_class_vocab(args.vocab)
     matrix, summary = text_match.label_records(
@@ -205,7 +198,6 @@ def cmd_label(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    _require_files(args.pseudo_labels)
     matrix = consensus.read_matrix_csv(args.pseudo_labels)
     matrix, dropped = consensus.drop_incomplete_rows(matrix)
     if dropped:
@@ -230,20 +222,17 @@ def cmd_train(args) -> int:
     policy = _from_json(student.AugmentPolicy, cfg.get("augment", {}), "augment")
     warm = cfg.get("warm_start_checkpoint")
 
-    _require_files(paths["features"], paths["pseudo_labels"], paths["vocab"])
-    if warm is not None:
-        _require_files(warm)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    # Every input is read and checked first, so bad input leaves no output directory.
     ds = data.load_features(paths["features"])
     vocab = data.load_class_vocab(paths["vocab"])
     matrix = consensus.read_matrix_csv(paths["pseudo_labels"], n_classes=len(vocab))
+    warm_model = student.load_checkpoint(warm) if warm is not None else None
     matrix, dropped = consensus.drop_incomplete_rows(matrix)
     if dropped:
         print(f"excluded {len(dropped)} pseudo-label rows with unlabeled entries")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    warm_model = student.load_checkpoint(warm) if warm is not None else None
     _, run = curriculum.run_curriculum(
         ds,
         matrix,
@@ -277,11 +266,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_files(args.checkpoint, args.features)
     model = student.load_checkpoint(args.checkpoint)
     ds = data.load_features(args.features)
     if args.labels is not None:
-        _require_files(args.labels)
         by_id = data.load_labels_csv(args.labels)
         missing = [sid for sid in ds.sample_ids if sid not in by_id]
         if missing:

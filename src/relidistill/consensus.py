@@ -8,14 +8,13 @@ are classified exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidRowError, ParseError
-from .fileio import atomic_open
+from .errors import ConfigError, DataError, InvalidRowError
+from .fileio import read_csv, write_csv
 from .seeding import MODE_TIE, derive_rng
 
 TAG_RELIABLE = "R"
@@ -211,44 +210,23 @@ def drop_incomplete_rows(matrix: PseudoLabelMatrix) -> tuple[PseudoLabelMatrix, 
     return filtered, dropped
 
 
+def _matrix_header(m: int) -> list[str]:
+    return ["sample_id"] + [f"teacher_{t}" for t in range(m)]
+
+
 def write_matrix_csv(matrix: PseudoLabelMatrix, path: str | Path) -> None:
     """CSV with header ``sample_id,teacher_0,...,teacher_{M-1}``."""
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"] + [f"teacher_{t}" for t in range(matrix.m)])
-        for i, sid in enumerate(matrix.sample_ids):
-            writer.writerow([sid] + [str(int(v)) for v in matrix.labels[i]])
+    rows = ([sid] + labels for sid, labels in zip(matrix.sample_ids, matrix.labels.tolist()))
+    write_csv(path, _matrix_header(matrix.m), rows)
 
 
 def read_matrix_csv(path: str | Path, n_classes: int | None = None) -> PseudoLabelMatrix:
     """Read a pseudo-label CSV; infers C = max label + 1 when not given."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not header or header[0] != "sample_id":
-            raise ParseError(f"{path}: expected header starting with sample_id")
-        expected = ["sample_id"] + [f"teacher_{t}" for t in range(len(header) - 1)]
-        if header != expected:
-            raise ParseError(f"{path}: malformed header {header}")
-        sample_ids: list[str] = []
-        rows: list[list[int]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                rows.append([int(v) for v in row[1:]])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer label") from None
-            sample_ids.append(row[0])
-    labels = np.array(rows, dtype=np.int64).reshape(len(sample_ids), len(header) - 1)
+    table = read_csv(path, lambda header: _matrix_header(len(header) - 1))
+    labels = table.columns(slice(1, None), np.int64)
     if n_classes is None:
         n_classes = max(2, int(labels.max()) + 1 if labels.size else 2)
-    return PseudoLabelMatrix(sample_ids=sample_ids, labels=labels, n_classes=n_classes)
+    return PseudoLabelMatrix(sample_ids=table.sample_ids(), labels=labels, n_classes=n_classes)
 
 
 def write_partition_csv(
@@ -257,8 +235,5 @@ def write_partition_csv(
     """CSV with header ``sample_id,score,tag``."""
     if len(sample_ids) != part.scores.shape[0]:
         raise DataError("sample ids and partition length differ")
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "score", "tag"])
-        for sid, score, tag in zip(sample_ids, part.scores, part.tags):
-            writer.writerow([sid, repr(float(score)), tag])
+    rows = zip(sample_ids, map(repr, part.scores.tolist()), part.tags)
+    write_csv(path, ["sample_id", "score", "tag"], rows)

@@ -12,7 +12,6 @@ sees them.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from .consensus import PseudoLabelMatrix
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_open, atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_text, read_csv, write_csv
 from .seeding import BLOBS, TEACHER_SIM, derive_rng
 from .text_match import ClassVocab
 
@@ -80,49 +79,25 @@ def load_features(path: str | Path) -> FeatureDataset:
     return _load_features_csv(path)
 
 
+def _features_header(header: list[str]) -> list[str]:
+    """The features header a file's header must equal; at least ``f0``."""
+    has_label = header[-1:] == ["label"]
+    dim = max(1, len(header) - 1 - has_label)
+    return ["sample_id"] + [f"f{j}" for j in range(dim)] + ["label"] * has_label
+
+
 def _load_features_csv(path: Path) -> FeatureDataset:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        has_label = bool(header) and header[-1] == "label"
-        dim = len(header) - 1 - int(has_label)
-        expected = ["sample_id"] + [f"f{j}" for j in range(dim)] + (
-            ["label"] if has_label else []
-        )
-        if dim < 1 or header != expected:
-            raise ParseError(f"{path}: malformed header {header}")
-        sample_ids: list[str] = []
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            sample_ids.append(row[0])
-            try:
-                # Parse through float32: the canonical on-disk precision.
-                values = np.array(row[1 : 1 + dim], dtype=np.float32)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric feature") from None
-            if not np.all(np.isfinite(values)):
-                raise ParseError(f"{path}:{lineno}: non-finite feature")
-            rows.append(values)
-            if has_label:
-                try:
-                    labels.append(int(row[-1]))
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-integer label") from None
-    features = np.array(rows, dtype=np.float32).reshape(len(sample_ids), dim)
+    table = read_csv(path, _features_header)
+    has_label = table.header[-1] == "label"
+    # Parse through float32: the canonical on-disk precision.
+    features = table.columns(slice(1, len(table.header) - has_label), np.float32)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise table.error(int(np.argmin(finite)), "non-finite feature")
     return FeatureDataset(
-        sample_ids=sample_ids,
+        sample_ids=table.sample_ids(),
         features=features.astype(np.float64),
-        true_labels=np.array(labels, dtype=np.int64) if has_label else None,
+        true_labels=table.columns(slice(-1, None), np.int64)[:, 0] if has_label else None,
     )
 
 
@@ -153,18 +128,14 @@ def save_features_csv(ds: FeatureDataset, path: str | Path) -> None:
     Values are rounded to float32 and printed in shortest round-trip
     form, so reloading reproduces the binary loader's matrix exactly.
     """
-    header = ["sample_id"] + [f"f{j}" for j in range(ds.dim)]
-    if ds.true_labels is not None:
-        header.append("label")
-    as_f32 = ds.features.astype(np.float32)
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, sid in enumerate(ds.sample_ids):
-            row = [sid] + [np.format_float_positional(v, unique=True) for v in as_f32[i]]
-            if ds.true_labels is not None:
-                row.append(str(int(ds.true_labels[i])))
-            writer.writerow(row)
+    label_column = [] if ds.true_labels is None else [ds.true_labels.tolist()]
+    header = ["sample_id"] + [f"f{j}" for j in range(ds.dim)] + ["label"] * len(label_column)
+    values = (
+        [np.format_float_positional(v, unique=True) for v in row]
+        for row in ds.features.astype(np.float32)
+    )
+    rows = ([sid, *v, *label] for sid, v, *label in zip(ds.sample_ids, values, *label_column))
+    write_csv(path, header, rows)
 
 
 def save_features_binary(ds: FeatureDataset, path: str | Path) -> None:
@@ -201,23 +172,9 @@ def save_class_vocab(vocab: ClassVocab, path: str | Path) -> None:
 
 
 def load_labels_csv(path: str | Path) -> dict[str, int]:
-    """Read a ``sample_id,label`` CSV into a dict."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "label"]:
-            raise ParseError(f"{path}: expected header sample_id,label")
-        out: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields")
-            try:
-                out[row[0]] = int(row[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer label") from None
-    return out
+    """Read a ``sample_id,label`` CSV into a dict; ids must be unique."""
+    table = read_csv(path, lambda header: ["sample_id", "label"])
+    return dict(zip(table.sample_ids(), table.columns(slice(1, 2), np.int64)[:, 0].tolist()))
 
 
 def _class_centers(n_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -250,14 +250,15 @@ def read_teacher_records(path: str | Path) -> list[TeacherRecord]:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             try:
                 sample_id = str(obj["sample_id"])
-                teacher_id = int(obj["teacher"])
+                teacher_id = obj["teacher"]
                 text = str(obj["text"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError):
                 raise ParseError(
                     f"{path}:{lineno}: expected keys sample_id, teacher, text"
                 ) from None
-            if teacher_id < 0:
-                raise ParseError(f"{path}:{lineno}: negative teacher id")
+            # A bool is an int to Python but not a JSON integer.
+            if type(teacher_id) is not int or teacher_id < 0:
+                raise ParseError(f"{path}:{lineno}: teacher must be a non-negative integer")
             key = (sample_id, teacher_id)
             if key in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate record for {key}")
@@ -326,7 +327,7 @@ def label_records(
         raise DataError("no teacher records to label")
 
     teacher_ids = sorted({r.teacher_id for r in records})
-    n_teachers = teacher_ids[-1] + 1
+    n_teachers = len(teacher_ids)
     if teacher_ids != list(range(n_teachers)):
         raise DataError(f"teacher ids must cover 0..M-1, got {teacher_ids}")
     if n_teachers < 2:

@@ -142,6 +142,24 @@ class TestLabel:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("teacher", [1.7, True, 10**29])
+    def test_teacher_id_not_a_small_integer_exit_3(self, tmp_path, teacher):
+        # 1.7 and true were read as teacher 1 (exit 0); 10**29 crashed with
+        # OverflowError while building the range of expected ids (exit 1).
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("car\nbicycle\n", encoding="utf-8")
+        records = tmp_path / "t.jsonl"
+        records.write_text(
+            json.dumps({"sample_id": "s0", "teacher": 0, "text": "car"})
+            + "\n"
+            + json.dumps({"sample_id": "s0", "teacher": teacher, "text": "car"})
+            + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "pl.csv"
+        assert main(["label", str(records), str(vocab), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_bad_backend_flag(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["label", "x", "y", "--backend", "bert", "--out", "z"])
@@ -221,6 +239,20 @@ class TestTrainEval:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 3
+
+    def test_train_bad_feature_leaves_no_output_dir(self, pipeline_dir, tmp_path, capsys):
+        # The output directory used to be created before the features were read.
+        features = pipeline_dir / "features.csv"
+        lines = features.read_text(encoding="utf-8").splitlines()
+        fields = lines[5].split(",")
+        fields[1] = "oops"
+        lines[5] = ",".join(fields)
+        features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "o"
+        config = write_run_config(tmp_path, pipeline_dir, out_dir)
+        assert main(["train", "--config", str(config)]) == 3
+        assert f"{features}:6:" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

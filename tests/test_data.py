@@ -88,6 +88,13 @@ class TestFeatureIO:
         path.write_text("sample_id,label\na,2\nb,0\n", encoding="utf-8")
         assert load_labels_csv(path) == {"a": 2, "b": 0}
 
+    def test_labels_csv_duplicate_id(self, tmp_path):
+        # The last of the two rows used to win without a word.
+        path = tmp_path / "labels.csv"
+        path.write_text("sample_id,label\na,1\na,0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":3: duplicate sample_id 'a'"):
+            load_labels_csv(path)
+
 
 class TestMakeBlobs:
     def test_deterministic(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import relidistill as rd
 from relidistill.errors import (
     ConfigError,
+    DataError,
     LookupMissError,
     ParseError,
     ShapeMismatchError,
@@ -300,6 +301,17 @@ class TestTeacherRecordsIO:
         with pytest.raises(ParseError):
             rd.read_teacher_records(path)
 
+    @pytest.mark.parametrize("teacher", ["1.7", "true", '"1"', "-1"])
+    def test_teacher_must_be_non_negative_json_integer(self, tmp_path, teacher):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"sample_id": "s0", "teacher": 0, "text": "car"}\n'
+            f'{{"sample_id": "s0", "teacher": {teacher}, "text": "bus"}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=":2:"):
+            rd.read_teacher_records(path)
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text("{oops\n", encoding="utf-8")
@@ -314,6 +326,12 @@ class TestLabelRecords:
             for sid, perteacher in table.items()
             for t, text in enumerate(perteacher)
         ]
+
+    def test_huge_teacher_id_is_a_gap(self):
+        # Coverage used to be checked against range(max_id + 1).
+        records = [rd.TeacherRecord("s0", 0, "car"), rd.TeacherRecord("s0", 10**29, "car")]
+        with pytest.raises(DataError, match="cover"):
+            rd.label_records(records, rd.ClassVocab(["car", "bus"]), rd.TrigramEmbedder())
 
     def test_obvious_matrix(self):
         vocab = rd.ClassVocab(["car", "bicycle", "kettle"])
