@@ -23,10 +23,9 @@ responses = [
 
 print("class names:", vocab.names)
 print()
-vocab_emb = vocab.with_embeddings(backend)
 for text in responses:
     query = rd.embed_text(text, backend)
-    sims = rd.sts(query, vocab_emb.embeddings)
+    sims = rd.sts(query, vocab.class_matrix(backend))
     label = rd.assign_pseudo_label(rd.TeacherRecord("demo", 0, text), vocab, backend)
     pretty = "  ".join(f"{name}={s:.3f}" for name, s in zip(vocab.names, sims))
     print(f"{text!r}\n  -> {vocab.names[label]!r}   [{pretty}]")
@@ -40,8 +39,7 @@ table = rd.PrecomputedTable(
         "car": np.array([1.0, 0.0, 0.0]),
         "bicycle": np.array([0.0, 1.0, 0.0]),
         "Audi": np.array([0.9, 0.1, 0.05]),
-    },
-    dim=3,
+    }
 )
 small_vocab = rd.ClassVocab(["car", "bicycle"])
 label = rd.assign_pseudo_label(rd.TeacherRecord("demo", 0, "Audi"), small_vocab, table)

@@ -222,7 +222,8 @@ def cmd_train(args) -> int:
     policy = _from_json(student.AugmentPolicy, cfg.get("augment", {}), "augment")
     warm = cfg.get("warm_start_checkpoint")
 
-    # Every input is read and checked first, so bad input leaves no output directory.
+    # Inputs are checked first and out_dir is made at the first checkpoint,
+    # so a run that fails before then leaves no output directory.
     ds = data.load_features(paths["features"])
     vocab = data.load_class_vocab(paths["vocab"])
     matrix = consensus.read_matrix_csv(paths["pseudo_labels"], n_classes=len(vocab))
@@ -230,7 +231,6 @@ def cmd_train(args) -> int:
     matrix, dropped = consensus.drop_incomplete_rows(matrix)
     if dropped:
         print(f"excluded {len(dropped)} pseudo-label rows with unlabeled entries")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     _, run = curriculum.run_curriculum(

@@ -374,7 +374,8 @@ def run_curriculum(
 
     Training sees only the feature view of ``ds``; true labels, when
     present, feed the per-stage accuracy report and nothing else.
-    A failed stage leaves earlier checkpoints in place. ``hidden_dims``
+    ``checkpoint_dir`` is made at the first checkpoint, and a failed stage
+    leaves earlier checkpoints in place. ``hidden_dims``
     None means ``DEFAULT_HIDDEN_DIMS``; ``[]`` gives a linear student.
     """
     validate_stage_configs(configs)
@@ -410,6 +411,7 @@ def run_curriculum(
             report.accuracy = float(np.mean(predicted == truths))
         run.reports.append(report)
         if checkpoint_dir is not None:
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
             path = Path(checkpoint_dir) / f"checkpoint_{cfg.stage.lower()}.bin"
             save_checkpoint(model, path)
             run.checkpoint_paths[cfg.stage] = str(path)

@@ -3,8 +3,9 @@
 Frozen teachers answer in free text ("The object is an alarm clock."),
 so each response is embedded and matched against the (C, d) matrix of
 class-name embeddings by one cosine call; the argmax class becomes the
-pseudo-label. Two embedding backends are supported, and both return a
-plain float64 vector:
+pseudo-label, the class matrix coming from the same backend as the
+response (:meth:`ClassVocab.class_matrix`). A backend is anything whose
+``embed(text)`` returns a float64 vector; two are supplied:
 
 * ``PrecomputedTable`` -- a TSV of text -> vector pairs produced offline
   by any sentence embedder.
@@ -73,10 +74,8 @@ class TrigramEmbedder:
     which means "unmatchable text" and must not enter cosines.
     """
 
-    dim = TRIGRAM_DIM
-
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim)
+        vec = np.zeros(TRIGRAM_DIM)
         normalized = normalize_text(text)
         if normalized:
             padded = normalized.ljust(3)
@@ -94,11 +93,10 @@ class PrecomputedTable:
     :class:`LookupMissError` naming the text.
     """
 
-    def __init__(self, table: dict[str, np.ndarray], dim: int):
+    def __init__(self, table: dict[str, np.ndarray]):
         if not table:
             raise ParseError("empty embedding table")
         self.table = table
-        self.dim = dim
 
     @classmethod
     def load(cls, path: str | Path) -> "PrecomputedTable":
@@ -127,7 +125,7 @@ class PrecomputedTable:
                 if text in table:
                     raise ParseError(f"{path}:{lineno}: duplicate key {text!r}")
                 table[text] = vec
-        return cls(table, dim)
+        return cls(table)
 
     def embed(self, text: str) -> np.ndarray:
         vec = self.table.get(text)
@@ -177,15 +175,14 @@ def sts(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 class ClassVocab:
     """Ordered closed label set; the class index is the list position.
 
-    ``embeddings``, when present, is a (C, d) array of unit-norm rows
-    aligned with ``names``. ``name_index`` maps each normalized name to
-    its class; names must be distinct and non-empty after
-    :func:`normalize_text`, the same folding the verbatim short-circuit
-    and the trigram embedder apply.
+    ``name_index`` maps each normalized name to its class; names must be
+    distinct and non-empty after :func:`normalize_text`, the same folding
+    the verbatim short-circuit and the trigram embedder apply. Class-name
+    embeddings are not stored: :meth:`class_matrix` derives them from the
+    backend that embeds the responses.
     """
 
     names: list[str]
-    embeddings: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.names) < 2:
@@ -196,31 +193,29 @@ class ClassVocab:
         self.name_index: dict[str, int] = {name: c for c, name in enumerate(normalized)}
         if len(self.name_index) != len(normalized):
             raise ConfigError("class names must be unique after normalization")
-        if self.embeddings is not None:
-            emb = np.asarray(self.embeddings, dtype=np.float64)
-            if emb.ndim != 2 or emb.shape[0] != len(self.names):
-                raise ConfigError("need exactly one embedding row per class")
-            norms = np.sqrt(np.sum(emb * emb, axis=1))
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ConfigError("class embeddings must have unit L2 norm")
-            self.embeddings = emb
+        self._matrix: tuple[Embedder, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.names)
 
-    def with_embeddings(self, backend: Embedder) -> "ClassVocab":
-        """Copy of the vocab with class-name embeddings from ``backend``.
+    def class_matrix(self, backend: Embedder) -> np.ndarray:
+        """(C, d) read-only matrix of the class names embedded by ``backend``.
 
         Rows are L2-normalized; cosine argmax is scale-invariant so this
-        never changes an assignment.
+        never changes an assignment. The matrix of the last backend used
+        is kept, keyed by identity, so a batch embeds each name once.
         """
-        rows = []
-        for name in self.names:
-            vec = embed_text(name, backend)
-            if not np.any(vec):
-                raise ConfigError(f"class name {name!r} embeds to the zero vector")
-            rows.append(vec / math.sqrt(float(vec @ vec)))
-        return ClassVocab(list(self.names), np.array(rows))
+        if self._matrix is None or self._matrix[0] is not backend:
+            rows = []
+            for name in self.names:
+                vec = embed_text(name, backend)
+                if not np.any(vec):
+                    raise ConfigError(f"class name {name!r} embeds to the zero vector")
+                rows.append(vec / math.sqrt(float(vec @ vec)))
+            matrix = np.array(rows)
+            matrix.flags.writeable = False
+            self._matrix = (backend, matrix)
+        return self._matrix[1]
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,8 @@ class TeacherRecord:
 def read_teacher_records(path: str | Path) -> list[TeacherRecord]:
     """Read JSON Lines records ``{"sample_id", "teacher", "text"}``.
 
-    (sample_id, teacher) pairs must be unique within the file.
+    ``sample_id`` and ``text`` are JSON strings, ``teacher`` a non-negative
+    JSON integer, and (sample_id, teacher) pairs are unique in the file.
     """
     records: list[TeacherRecord] = []
     seen: set[tuple[str, int]] = set()
@@ -249,13 +245,13 @@ def read_teacher_records(path: str | Path) -> list[TeacherRecord]:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             try:
-                sample_id = str(obj["sample_id"])
-                teacher_id = obj["teacher"]
-                text = str(obj["text"])
+                sample_id, teacher_id, text = obj["sample_id"], obj["teacher"], obj["text"]
             except (KeyError, TypeError):
                 raise ParseError(
                     f"{path}:{lineno}: expected keys sample_id, teacher, text"
                 ) from None
+            if not isinstance(sample_id, str) or not isinstance(text, str):
+                raise ParseError(f"{path}:{lineno}: sample_id and text must be strings")
             # A bool is an int to Python but not a JSON integer.
             if type(teacher_id) is not int or teacher_id < 0:
                 raise ParseError(f"{path}:{lineno}: teacher must be a non-negative integer")
@@ -287,10 +283,7 @@ def assign_pseudo_label(record: TeacherRecord, vocab: ClassVocab, backend: Embed
         raise UnlabeledSampleError(
             f"text {record.raw_text!r} has no embeddable content"
         )
-    class_emb = vocab.embeddings
-    if class_emb is None:
-        class_emb = vocab.with_embeddings(backend).embeddings
-    return int(np.argmax(sts(query, class_emb)))
+    return int(np.argmax(sts(query, vocab.class_matrix(backend))))
 
 
 @dataclass
@@ -338,7 +331,9 @@ def label_records(
         row_of.setdefault(record.sample_id, len(row_of))
     sample_order = list(row_of)
 
-    vocab = vocab if vocab.embeddings is not None else vocab.with_embeddings(backend)
+    # Built up front, so a class name the backend cannot embed fails the
+    # batch even when every answer matches a name verbatim.
+    vocab.class_matrix(backend)
     label_of: dict[str, int] = {}  # raw text -> class, -1 when unlabelable
     labels = np.full((len(sample_order), n_teachers), -1, dtype=np.int64)
     for record in records:

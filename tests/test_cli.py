@@ -160,6 +160,24 @@ class TestLabel:
         assert main(["label", str(records), str(vocab), "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("sample_id, text", [(1, "car"), (None, "car"), ("s1", None)])
+    def test_non_string_sample_id_or_text_exit_3(self, tmp_path, capsys, sample_id, text):
+        # These used to go through str() and exit 0 with wrong rows.
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("car\nbike\nnone of these\n", encoding="utf-8")
+        records = tmp_path / "t.jsonl"
+        records.write_text(
+            json.dumps({"sample_id": "1", "teacher": 0, "text": "car"})
+            + "\n"
+            + json.dumps({"sample_id": sample_id, "teacher": 1, "text": text})
+            + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "pl.csv"
+        assert main(["label", str(records), str(vocab), "--out", str(out)]) == 3
+        assert f"{records}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_backend_flag(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["label", "x", "y", "--backend", "bert", "--out", "z"])
@@ -409,6 +427,26 @@ class TestStrictConfigs:
         capsys.readouterr()
         assert main([command, "--config", str(bad), "--out", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Each of these used to leave an empty output directory behind.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "path, value, code",
+        [
+            (("hidden_dims",), [0], 2),
+            (("mode_tie_break",), "bogus", 2),
+            (("stages", 0, "learning_rate"), 1e200, 4),
+        ],
+        ids=["zero-hidden-dim", "bogus-tie-break", "rkt-divergence"],
+    )
+    def test_train_failure_leaves_no_output_dir(self, pipeline_dir, tmp_path, path, value, code):
+        out = tmp_path / "out"
+        config = json.loads(write_run_config(tmp_path, pipeline_dir, out).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edited(config, path, value)), encoding="utf-8")
+        assert main(["train", "--config", str(bad)]) == code
         assert not out.exists()
 
     def test_well_typed_values_keep_their_meaning(self):

@@ -349,6 +349,13 @@ class TestRunCurriculum:
         for stage in ("RKT", "SMKE", "MMR"):
             assert (tmp_path / f"checkpoint_{stage.lower()}.bin").exists()
 
+    def test_creates_missing_checkpoint_dir(self, small_teacher_setup, tmp_path):
+        # save_checkpoint used to fail on a directory that did not exist.
+        ds, pl = small_teacher_setup
+        out = tmp_path / "a" / "b"
+        rd.run_curriculum(ds, pl, self._configs(), seed=3, checkpoint_dir=out)
+        assert (out / "checkpoint_mmr.bin").exists()
+
     def test_deterministic_end_to_end(self, small_teacher_setup, tmp_path):
         ds, pl = small_teacher_setup
         outs = []

@@ -87,7 +87,6 @@ class TestPrecomputedTable:
     def test_load_and_lookup(self, tmp_path):
         path = self._write(tmp_path, ["car\t1 0 0", "bike\t0 1 0"])
         table = rd.PrecomputedTable.load(path)
-        assert table.dim == 3
         assert np.array_equal(table.embed("car"), [1.0, 0.0, 0.0])
 
     def test_missing_key_names_text(self, tmp_path):
@@ -208,14 +207,62 @@ class TestClassVocab:
         with pytest.raises(ConfigError):
             rd.ClassVocab(names)
 
-    def test_rejects_non_unit_embeddings(self):
-        with pytest.raises(ConfigError):
-            rd.ClassVocab(["a", "b"], embeddings=np.array([[1.0, 0.0], [2.0, 0.0]]))
-
-    def test_with_embeddings_unit_rows(self):
-        vocab = rd.ClassVocab(["car", "bicycle"]).with_embeddings(rd.TrigramEmbedder())
-        norms = np.linalg.norm(vocab.embeddings, axis=1)
+    def test_class_matrix_unit_rows(self):
+        matrix = rd.ClassVocab(["car", "bicycle"]).class_matrix(rd.TrigramEmbedder())
+        norms = np.linalg.norm(matrix, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-6)
+
+    def test_class_matrix_rejects_zero_name_embedding(self):
+        table = rd.PrecomputedTable({"car": np.array([1.0, 0.0]), "bus": np.zeros(2)})
+        with pytest.raises(ConfigError, match="bus"):
+            rd.ClassVocab(["car", "bus"]).class_matrix(table)
+
+
+class CountingBackend:
+    """Trigram embeddings that count the texts they embed."""
+
+    def __init__(self):
+        self.inner = rd.TrigramEmbedder()
+        self.calls: dict[str, int] = {}
+
+    def embed(self, text):
+        self.calls[text] = self.calls.get(text, 0) + 1
+        return self.inner.embed(text)
+
+
+class TestClassMatrixFollowsBackend:
+    def test_each_class_name_embedded_once(self):
+        # Every non-verbatim answer used to embed the whole vocabulary again.
+        names = ["alarm clock", "bicycle", "kettle", "desk lamp"]
+        vocab, backend = rd.ClassVocab(names), CountingBackend()
+        answers = [f"maybe a {name} number {i}" for i in range(3) for name in names[:3]]
+        answers.append("a lamp on a desk")
+        for text in answers:
+            rd.assign_pseudo_label(rd.TeacherRecord("s", 0, text), vocab, backend)
+        assert all(backend.calls[name] == 1 for name in names)
+        assert sum(backend.calls.values()) == len(names) + len(answers)
+
+    def test_second_backend_gets_its_own_matrix(self):
+        # Same vocab, two tables that place "q" next to opposite classes.
+        vocab = rd.ClassVocab(["a", "b"])
+        near_a = rd.PrecomputedTable(
+            {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]), "q": np.array([0.9, 0.1])}
+        )
+        near_b = rd.PrecomputedTable(
+            {"a": np.array([0.0, 1.0]), "b": np.array([1.0, 0.0]), "q": np.array([0.9, 0.1])}
+        )
+        rec = rd.TeacherRecord("s", 0, "q")
+        assert rd.assign_pseudo_label(rec, vocab, near_a) == 0
+        assert rd.assign_pseudo_label(rec, vocab, near_b) == 1
+        assert rd.assign_pseudo_label(rec, vocab, near_a) == 0
+        assert np.array_equal(vocab.class_matrix(near_b), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_label_records_needs_every_class_name_embeddable(self):
+        # The matrix is built up front, so a verbatim-only batch still fails.
+        table = rd.PrecomputedTable({"car": np.array([1.0, 0.0])})
+        records = [rd.TeacherRecord("s0", 0, "car"), rd.TeacherRecord("s0", 1, "car")]
+        with pytest.raises(LookupMissError, match="bus"):
+            rd.label_records(records, rd.ClassVocab(["car", "bus"]), table)
 
 
 class TestAssignPseudoLabel:
@@ -310,6 +357,26 @@ class TestTeacherRecordsIO:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match=":2:"):
+            rd.read_teacher_records(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"sample_id": 1, "teacher": 0, "text": "car"}',
+            '{"sample_id": null, "teacher": 0, "text": "car"}',
+            '{"sample_id": "s1", "teacher": 0, "text": null}',
+            '{"sample_id": "s1", "teacher": 0, "text": ["car"]}',
+        ],
+    )
+    def test_sample_id_and_text_must_be_json_strings(self, tmp_path, record):
+        # These were passed through str(): 1 merged with "1", null became
+        # "None", and ["car"] was labeled car.
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"sample_id": "s0", "teacher": 0, "text": "car"}\n' + record + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=":2: sample_id and text must be strings"):
             rd.read_teacher_records(path)
 
     def test_bad_json(self, tmp_path):
@@ -412,7 +479,6 @@ BACKENDS = (
             "the bicycle": np.array([0.1, 0.8, 0.1]),
             "Audi": np.array([0.5, 0.0, 0.5]),
         },
-        dim=3,
     ),
 )
 
