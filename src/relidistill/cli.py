@@ -70,7 +70,7 @@ def _read_config(args, keys: dict, required) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
     if args.seed is not None and isinstance(obj, dict):
         obj["seed"] = args.seed

@@ -20,7 +20,7 @@ import numpy as np
 
 from .consensus import PseudoLabelMatrix
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write_bytes, atomic_write_text, read_csv, write_csv
+from .fileio import atomic_write_bytes, atomic_write_text, open_utf8, read_csv, write_csv
 from .seeding import BLOBS, TEACHER_SIM, derive_rng
 from .text_match import ClassVocab
 
@@ -157,7 +157,7 @@ def save_features_binary(ds: FeatureDataset, path: str | Path) -> None:
 
 def load_class_vocab(path: str | Path) -> ClassVocab:
     """One class name per line; the line number is the class index."""
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         names = [line.rstrip("\n") for line in fh]
     for lineno, name in enumerate(names, start=1):
         if not name.strip():

@@ -1,7 +1,8 @@
 """Atomic file writers, and the one CSV layer every package CSV goes through:
 the header must match its format exactly, blank lines are skipped, every
 row has the header's field count, and an unparsable or out-of-range value
-raises :class:`ParseError` naming ``path:line``."""
+raises :class:`ParseError` naming ``path:line``, as does a byte that is not
+UTF-8 in any text file the package reads."""
 
 from __future__ import annotations
 
@@ -51,6 +52,25 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+@contextmanager
+def open_utf8(path: str | Path, newline: str | None = None):
+    """Open ``path`` to read it as UTF-8 text; a byte that is not UTF-8, met
+    while the body reads, raises :class:`ParseError` naming its line."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # Offsets in the error count from the decoder's chunk, not the
+            # file: decode the whole file again to place the byte.
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = raw.count(b"\n", 0, exc.start) + 1
+                raise ParseError(f"{path}:{line}: not valid UTF-8: {exc.reason}") from None
+            raise
+
+
 @dataclass
 class CsvTable:
     """The non-blank rows below a CSV header, with their line numbers."""
@@ -91,22 +111,27 @@ class CsvTable:
 def read_csv(path: str | Path, expected_header: Callable[[list[str]], list[str]]) -> CsvTable:
     """The header and non-blank rows of the CSV file at ``path``; ``expected_header``
     maps the file's header to the one its format requires."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        expected = expected_header(header)
-        if header != expected:
-            raise ParseError(f"{path}: malformed header {header}, expected {expected}")
-        rows, lines = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append(row)
-            lines.append(lineno)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            expected = expected_header(header)
+            if header != expected:
+                raise ParseError(f"{path}: malformed header {header}, expected {expected}")
+            rows, lines = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append(row)
+                lines.append(lineno)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return CsvTable(str(path), header, rows, lines)
 
 

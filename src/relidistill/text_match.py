@@ -25,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .errors import (
     UndefinedSimilarityError,
     UnlabeledSampleError,
 )
+from .fileio import open_utf8
 
 TRIGRAM_DIM = 4096  # 2**12 buckets
 
@@ -102,7 +104,7 @@ class PrecomputedTable:
     def load(cls, path: str | Path) -> "PrecomputedTable":
         table: dict[str, np.ndarray] = {}
         dim: int | None = None
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -142,30 +144,54 @@ def embed_text(text: str, backend: Embedder) -> np.ndarray:
     return backend.embed(text)
 
 
-def sts(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+class _ClassSide(NamedTuple):
+    """The class half of :func:`sts`, computed once per (C, d) matrix."""
+
+    rows: np.ndarray  # each row divided by its max-abs entry
+    sq_norms: np.ndarray  # (C,) squared norms of ``rows``
+
+
+def _class_side(rows: np.ndarray) -> _ClassSide:
+    """Prescale each row of ``rows`` by its max-abs entry and take its squared norm.
+
+    Cosine is scale-invariant, and after the prescale the squared norms lie
+    in [1, d], where they cannot under- or overflow. An all-zero row raises
+    :class:`UndefinedSimilarityError`.
+    """
+    scale = np.max(np.abs(rows), axis=1, keepdims=True, initial=0.0)
+    if not np.all(scale):
+        raise UndefinedSimilarityError("cosine of an all-zero vector is undefined")
+    rows = rows / scale
+    sq_norms = np.einsum("cd,cd->c", rows, rows)
+    rows.flags.writeable = sq_norms.flags.writeable = False
+    return _ClassSide(rows, sq_norms)
+
+
+def sts(a: np.ndarray, b: np.ndarray | _ClassSide) -> float | np.ndarray:
     """Cosine similarity in [-1, 1] of vector ``a`` with ``b``.
 
     ``b`` is one vector, giving a float, or a (C, d) matrix, giving the C
     similarities of ``a`` with its rows; one vector is computed as the
-    one-row matrix. Numerators and squared norms come from the same
-    reduction and IEEE-754 square root is correctly rounded, so identical
-    vectors score exactly 1.0.
+    one-row matrix. ``b`` may also be a class side already prepared from
+    such a matrix, as :class:`ClassVocab` keeps one per backend; it gives
+    the same C similarities, bit for bit. Numerators and squared norms come
+    from the same reduction and IEEE-754 square root is correctly rounded,
+    so identical vectors score exactly 1.0.
     """
     va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
+    side = b if isinstance(b, _ClassSide) else None
+    vb = np.asarray(b, dtype=np.float64) if side is None else side.rows
     rows = vb.reshape(1, -1) if vb.ndim == 1 else vb
     if va.ndim != 1 or rows.ndim != 2 or rows.shape[1] != va.shape[0]:
         raise ShapeMismatchError(f"embedding dimensions differ: {va.shape} vs {vb.shape}")
+    if side is None:
+        side = _class_side(rows)
     ma = np.max(np.abs(va), initial=0.0)
-    mb = np.max(np.abs(rows), axis=1, keepdims=True, initial=0.0)
-    if ma == 0.0 or not np.all(mb):
+    if ma == 0.0:
         raise UndefinedSimilarityError("cosine of an all-zero vector is undefined")
-    # Prescale by the max-abs entry: cosine is scale-invariant and the
-    # squared norms land in [1, d], where they cannot under- or overflow.
     va = va / ma
-    rows = rows / mb
-    sims = np.einsum("cd,d->c", rows, va) / np.sqrt(
-        np.einsum("d,d->", va, va) * np.einsum("cd,cd->c", rows, rows)
+    sims = np.einsum("cd,d->c", side.rows, va) / np.sqrt(
+        np.einsum("d,d->", va, va) * side.sq_norms
     )
     sims = np.clip(sims, -1.0, 1.0)
     return float(sims[0]) if vb.ndim == 1 else sims
@@ -193,7 +219,7 @@ class ClassVocab:
         self.name_index: dict[str, int] = {name: c for c, name in enumerate(normalized)}
         if len(self.name_index) != len(normalized):
             raise ConfigError("class names must be unique after normalization")
-        self._matrix: tuple[Embedder, np.ndarray] | None = None
+        self._matrix: tuple[Embedder, np.ndarray, _ClassSide] | None = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -205,6 +231,11 @@ class ClassVocab:
         never changes an assignment. The matrix of the last backend used
         is kept, keyed by identity, so a batch embeds each name once.
         """
+        return self._embedded(backend)[1]
+
+    def _embedded(self, backend: Embedder) -> tuple[Embedder, np.ndarray, _ClassSide]:
+        """The kept (backend, class matrix, its :func:`sts` class side), rebuilt
+        when ``backend`` is not the one they were built with."""
         if self._matrix is None or self._matrix[0] is not backend:
             rows = []
             for name in self.names:
@@ -214,8 +245,8 @@ class ClassVocab:
                 rows.append(vec / math.sqrt(float(vec @ vec)))
             matrix = np.array(rows)
             matrix.flags.writeable = False
-            self._matrix = (backend, matrix)
-        return self._matrix[1]
+            self._matrix = (backend, matrix, _class_side(matrix))
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -235,7 +266,7 @@ def read_teacher_records(path: str | Path) -> list[TeacherRecord]:
     """
     records: list[TeacherRecord] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -252,6 +283,15 @@ def read_teacher_records(path: str | Path) -> list[TeacherRecord]:
                 ) from None
             if not isinstance(sample_id, str) or not isinstance(text, str):
                 raise ParseError(f"{path}:{lineno}: sample_id and text must be strings")
+            # Only a \u escape can spell a lone surrogate, which no UTF-8
+            # output can hold.
+            if "\\u" in line:
+                try:
+                    sample_id.encode("utf-8"), text.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(
+                        f"{path}:{lineno}: sample_id or text holds a lone surrogate"
+                    ) from None
             # A bool is an int to Python but not a JSON integer.
             if type(teacher_id) is not int or teacher_id < 0:
                 raise ParseError(f"{path}:{lineno}: teacher must be a non-negative integer")
@@ -283,7 +323,7 @@ def assign_pseudo_label(record: TeacherRecord, vocab: ClassVocab, backend: Embed
         raise UnlabeledSampleError(
             f"text {record.raw_text!r} has no embeddable content"
         )
-    return int(np.argmax(sts(query, vocab.class_matrix(backend))))
+    return int(np.argmax(sts(query, vocab._embedded(backend)[2])))
 
 
 @dataclass

@@ -178,6 +178,32 @@ class TestLabel:
         assert f"{records}:2:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fault", ["non-UTF-8 vocab", "non-UTF-8 records", "lone surrogate sample_id",
+                  "lone surrogate text"],
+    )
+    def test_undecodable_input_exit_3(self, tmp_path, capsys, fault):
+        # These escaped cli.main as UnicodeDecodeError or, when pl.csv was
+        # written, UnicodeEncodeError (exit 1).
+        vocab = tmp_path / "vocab.txt"
+        records = tmp_path / "t.jsonl"
+        names = "car\nbike\n"
+        lines = [json.dumps({"sample_id": "s0", "teacher": t, "text": "car"}) for t in (0, 1)]
+        if fault == "non-UTF-8 vocab":
+            names = "car\nbik\udcffe\n"  # \udcff is written as the byte 0xff
+        elif fault == "non-UTF-8 records":
+            lines[1] = lines[1].replace("car", "c\udcffar")
+        else:
+            field = fault.rsplit(" ", 1)[1]
+            lines[1] = json.dumps({"sample_id": "s0", "teacher": 1, "text": "car", field: "\ud800"})
+        vocab.write_text(names, encoding="utf-8", errors="surrogateescape")
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+        out = tmp_path / "pl.csv"
+        assert main(["label", str(records), str(vocab), "--out", str(out)]) == 3
+        bad = vocab if fault == "non-UTF-8 vocab" else records
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+        assert not out.exists()
+
     def test_bad_backend_flag(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["label", "x", "y", "--backend", "bert", "--out", "z"])
@@ -413,6 +439,15 @@ class TestStrictConfigs:
         assert not list(out.glob("checkpoint_*.bin"))
         assert not (out / "train_report.json").exists()
         assert not (out / "teachers.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    def test_non_utf8_config_exit_2(self, command, tmp_path, capsys):
+        # A UnicodeDecodeError escaped cli.main here (exit 1).
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": 1, "name": "caf\xe9"}')
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "simulate"])
     def test_negative_seed_exit_2_creates_nothing(self, command, tmp_path, request, capsys):

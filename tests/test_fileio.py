@@ -115,6 +115,9 @@ CSV_FAULTS = {
     "integer above int64": 4,
     "1e39 value": 4,
     "duplicate sample_id": 4,
+    # These two escaped as UnicodeDecodeError and _csv.Error (exit 1).
+    "non-UTF-8 byte": 4,
+    "field over the csv module's limit": 4,
 }
 
 
@@ -133,9 +136,13 @@ def write_faulty_csv(path, reader: str, fault: str) -> None:
         second[1] = "1e39"
     elif fault == "duplicate sample_id":
         second[0] = row[0]
+    elif fault == "non-UTF-8 byte":
+        second[0] = "b\udcff"  # written as the byte 0xff
+    elif fault == "field over the csv module's limit":
+        second[0] = "b" * (csv.field_size_limit() + 1)
     rows = [header, row, [], second]
     text = "" if fault == "empty file" else "\n".join(",".join(r) for r in rows) + "\n"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def fault_message(path, fault: str) -> str:
@@ -170,6 +177,14 @@ def test_csv_fault_exits_3(tmp_path, capsys, reader, fault):
     assert main(argv) == 3
     assert re.match("error: " + fault_message(path, fault), capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_non_utf8_byte_named_by_file_line(tmp_path):
+    # The decoder reads in chunks; the line must count from the file start.
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"".join(b"name %d\n" % i for i in range(5000)) + b"caf\xe9\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:5001: not valid UTF-8")):
+        data.load_class_vocab(path)
 
 
 SAMPLE_IDS = st.lists(st.text(st.characters(blacklist_categories=("Cs",))), max_size=6, unique=True)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from relidistill.errors import (
     UndefinedSimilarityError,
     UnlabeledSampleError,
 )
-from relidistill.text_match import normalize_text
+from relidistill.text_match import _class_side, normalize_text
 
 
 def naive_trigram_cosine(a: str, b: str) -> float:
@@ -164,20 +165,35 @@ class TestSts:
     )
     def test_matrix_equals_row_calls(self, qm):
         q, m = np.array(qm[0]), np.array(qm[1])
-        if not np.any(q) or not np.all(np.any(m, axis=1)):
+        if not np.all(np.any(m, axis=1)):
             with pytest.raises(UndefinedSimilarityError):
                 rd.sts(q, m)
+            with pytest.raises(UndefinedSimilarityError):
+                _class_side(m)
+            return
+        if not np.any(q):
+            for b in (m, _class_side(m)):
+                with pytest.raises(UndefinedSimilarityError):
+                    rd.sts(q, b)
             return
         sims = rd.sts(q, m)
         assert sims.shape == (len(m),)
         assert sims.tobytes() == np.array([rd.sts(q, row) for row in m]).tobytes()
+        assert sims.tobytes() == rd.sts(q, _class_side(m)).tobytes()
         assert rd.sts(m[0], np.stack([m[0], q]))[0] == 1.0
 
     def test_matrix_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            rd.sts(np.ones(3), np.ones((2, 4)))
+        for b in (np.ones((2, 4)), _class_side(np.ones((2, 4)))):
+            with pytest.raises(ShapeMismatchError):
+                rd.sts(np.ones(3), b)
+            with pytest.raises(ShapeMismatchError):
+                rd.sts(np.ones((1, 4)), b)
         with pytest.raises(ShapeMismatchError):
             rd.sts(np.ones((1, 3)), np.ones(3))
+
+    def test_shape_checked_before_zero_rows(self):
+        with pytest.raises(ShapeMismatchError):
+            rd.sts(np.ones(3), np.zeros((2, 4)))
 
     def test_positive_rescaling_invariant_argmax(self):
         rng = np.random.default_rng(1)
@@ -379,6 +395,25 @@ class TestTeacherRecordsIO:
         with pytest.raises(ParseError, match=":2: sample_id and text must be strings"):
             rd.read_teacher_records(path)
 
+    @pytest.mark.parametrize("field", ["sample_id", "text"])
+    def test_lone_surrogate_rejected(self, tmp_path, field):
+        # Valid JSON, but no UTF-8 file can hold it: writing pl.csv failed.
+        record = {"sample_id": "s1", "teacher": 0, "text": "car"}
+        record[field] = "a\ud800"
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"sample_id": "s0", "teacher": 0, "text": "caf\\u00e9"}\n' + json.dumps(record) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=":2: sample_id or text holds a lone surrogate"):
+            rd.read_teacher_records(path)
+
+    def test_escaped_text_kept(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"sample_id": "s\\u00e9", "teacher": 0, "text": "\\ud83d\\ude00"}\n',
+                        encoding="utf-8")
+        assert rd.read_teacher_records(path) == [rd.TeacherRecord("s\u00e9", 0, "\U0001f600")]
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text("{oops\n", encoding="utf-8")
@@ -429,6 +464,19 @@ class TestLabelRecords:
         records = [rd.TeacherRecord("s0", 0, "car"), rd.TeacherRecord("s0", 2, "car")]
         with pytest.raises(Exception):
             rd.label_records(records, vocab, rd.TrigramEmbedder())
+
+
+def test_label_records_is_the_per_text_argmax_on_65_names(object_vocab):
+    # label_records hands assign_pseudo_label the class side kept by the
+    # vocabulary; the labels are those of plain sts calls on class_matrix.
+    backend = rd.TrigramEmbedder()
+    texts = [f"{lead} {name}{tail}" for name in object_vocab.names
+             for lead, tail in (("I think this is a", "."), ("probably", ", or a fan"))]
+    records = [rd.TeacherRecord(f"s{i}", t, text) for i, text in enumerate(texts) for t in (0, 1)]
+    matrix, _ = rd.label_records(records, object_vocab, backend)
+    class_matrix = object_vocab.class_matrix(backend)
+    expected = [int(np.argmax(rd.sts(rd.embed_text(t, backend), class_matrix))) for t in texts]
+    assert matrix.labels.tolist() == [[c, c] for c in expected]
 
 
 LABEL_POOL = (
