@@ -82,7 +82,8 @@ def _read_config(args, keys: dict, required) -> dict:
 
 def _typed(value, tp, where: str):
     """``value`` checked against ``tp`` (int, float, str, dict, list[T], T | None);
-    a float also takes an integer in float range, and a bool is never a number."""
+    a float also takes an integer in float range, a bool is never a number, and
+    a string must encode as UTF-8, which a lone surrogate (``"\\ud800"``) cannot."""
     args = typing.get_args(tp)
     if type(None) in args:
         if value is None:
@@ -93,6 +94,11 @@ def _typed(value, tp, where: str):
         value = float(value)
     if not isinstance(value, base) or isinstance(value, bool):
         raise ConfigError(f"{where}: expected {base.__name__}, got {value!r}")
+    if base is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"{where}: not valid UTF-8: {value!r} ({exc.reason})") from None
     if args:
         return [_typed(item, args[0], f"{where}[{i}]") for i, item in enumerate(value)]
     return value

@@ -222,11 +222,15 @@ def write_matrix_csv(matrix: PseudoLabelMatrix, path: str | Path) -> None:
 
 def read_matrix_csv(path: str | Path, n_classes: int | None = None) -> PseudoLabelMatrix:
     """Read a pseudo-label CSV; infers C = max label + 1 when not given."""
-    table = read_csv(path, lambda header: _matrix_header(len(header) - 1))
-    labels = table.columns(slice(1, None), np.int64)
+    table = read_csv(
+        path,
+        lambda header: _matrix_header(len(header) - 1),
+        lambda header: [(slice(1, None), np.int64)],
+    )
+    (labels,) = table.arrays
     if n_classes is None:
         n_classes = max(2, int(labels.max()) + 1 if labels.size else 2)
-    return PseudoLabelMatrix(sample_ids=table.sample_ids(), labels=labels, n_classes=n_classes)
+    return PseudoLabelMatrix(sample_ids=table.sample_ids, labels=labels, n_classes=n_classes)
 
 
 def write_partition_csv(

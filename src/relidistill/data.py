@@ -86,18 +86,24 @@ def _features_header(header: list[str]) -> list[str]:
     return ["sample_id"] + [f"f{j}" for j in range(dim)] + ["label"] * has_label
 
 
+def _features_columns(header: list[str]) -> list[tuple[slice, type]]:
+    """The feature columns, parsed through float32 (the canonical on-disk
+    precision), then the label column when there is one."""
+    has_label = header[-1] == "label"
+    features = (slice(1, len(header) - has_label), np.float32)
+    return [features] + [(slice(-1, None), np.int64)] * has_label
+
+
 def _load_features_csv(path: Path) -> FeatureDataset:
-    table = read_csv(path, _features_header)
-    has_label = table.header[-1] == "label"
-    # Parse through float32: the canonical on-disk precision.
-    features = table.columns(slice(1, len(table.header) - has_label), np.float32)
+    table = read_csv(path, _features_header, _features_columns)
+    features, *labels = table.arrays
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise table.error(int(np.argmin(finite)), "non-finite feature")
     return FeatureDataset(
-        sample_ids=table.sample_ids(),
+        sample_ids=table.sample_ids,
         features=features.astype(np.float64),
-        true_labels=table.columns(slice(-1, None), np.int64)[:, 0] if has_label else None,
+        true_labels=labels[0][:, 0] if labels else None,
     )
 
 
@@ -173,8 +179,10 @@ def save_class_vocab(vocab: ClassVocab, path: str | Path) -> None:
 
 def load_labels_csv(path: str | Path) -> dict[str, int]:
     """Read a ``sample_id,label`` CSV into a dict; ids must be unique."""
-    table = read_csv(path, lambda header: ["sample_id", "label"])
-    return dict(zip(table.sample_ids(), table.columns(slice(1, 2), np.int64)[:, 0].tolist()))
+    table = read_csv(
+        path, lambda header: ["sample_id", "label"], lambda header: [(slice(1, 2), np.int64)]
+    )
+    return dict(zip(table.sample_ids, table.arrays[0][:, 0].tolist()))
 
 
 def _class_centers(n_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:

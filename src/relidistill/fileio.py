@@ -1,8 +1,12 @@
 """Atomic file writers, and the one CSV layer every package CSV goes through:
 the header must match its format exactly, blank lines are skipped, every
-row has the header's field count, and an unparsable or out-of-range value
-raises :class:`ParseError` naming ``path:line``, as does a byte that is not
-UTF-8 in any text file the package reads."""
+row has the header's field count and a sample id not seen above it, and
+an unparsable or out-of-range value raises :class:`ParseError` naming
+``path:line``, as does a byte that is not UTF-8 in any text file the
+package reads. The line named is the physical line on which the offending
+row starts, which a quoted field holding a newline sets apart from the
+row count. A read parses its rows into arrays a block at a time and keeps
+no string rows."""
 
 from __future__ import annotations
 
@@ -71,46 +75,66 @@ def open_utf8(path: str | Path, newline: str | None = None):
             raise
 
 
+# Rows parsed into arrays at a time: a read holds the strings of one block,
+# whatever the length of the file.
+_BLOCK_ROWS = 4096
+
+
 @dataclass
 class CsvTable:
-    """The non-blank rows below a CSV header, with their line numbers."""
+    """What a read keeps of a CSV file: the header, the first column's
+    sample ids, one (N, k) array per column spec, and the physical line on
+    which each of the N non-blank rows starts. No string row outlives the
+    block it was parsed in."""
 
     path: str
     header: list[str]
-    rows: list[list[str]]
-    lines: list[int]
+    sample_ids: list[str]
+    arrays: list[np.ndarray]
+    lines: np.ndarray
 
     def error(self, i: int, message: str) -> ParseError:
         return ParseError(f"{self.path}:{self.lines[i]}: {message}")
 
-    def sample_ids(self) -> list[str]:
-        """The first column; a repeated id raises naming its second line."""
-        first: dict[str, int] = {}
-        for i, row in enumerate(self.rows):
-            if first.setdefault(row[0], i) != i:
-                raise self.error(i, f"duplicate sample_id {row[0]!r}")
-        return list(first)
+    def _append(self, rows: list[list[str]], lines: list[int], specs) -> None:
+        """Parse a block of rows onto the end of the arrays.
 
-    def columns(self, cols: slice, dtype) -> np.ndarray:
-        """``row[cols]`` of every row as one (N, k) array of ``dtype``, parsed by
-        Python's ``int()``/``float()`` rules; the first row holding a value that
-        fails or overflows ``dtype`` raises :class:`ParseError` naming its line."""
-        cells = [row[cols] for row in self.rows]
-        with np.errstate(over="raise"):
-            try:
-                return np.array(cells, dtype).reshape(len(cells), len(self.header[cols]))
-            except (ValueError, ArithmeticError):
-                for i, values in enumerate(cells):
-                    try:
-                        np.array(values, dtype)
-                    except (ValueError, ArithmeticError):
-                        raise self.error(i, f"expected {np.dtype(dtype)}, got {values}") from None
-                raise
+        Values are parsed by Python's ``int()``/``float()`` rules; the first
+        row holding a value that fails or overflows its dtype raises
+        :class:`ParseError` naming its line. The arrays grow in place (no
+        view of them exists yet), so a read never holds a copy of one."""
+        n, b = len(self.lines), len(rows)
+        if not b:
+            return
+        self.lines.resize(n + b, refcheck=False)
+        self.lines[n:] = lines
+        for array, (cols, dtype) in zip(self.arrays, specs):
+            cells = [row[cols] for row in rows]
+            with np.errstate(over="raise"):
+                try:
+                    block = np.array(cells, dtype)
+                except (ValueError, ArithmeticError):
+                    for i, values in enumerate(cells):
+                        try:
+                            np.array(values, dtype)
+                        except (ValueError, ArithmeticError):
+                            message = f"expected {np.dtype(dtype)}, got {values}"
+                            raise self.error(n + i, message) from None
+                    raise
+            array.resize((n + b, array.shape[1]), refcheck=False)
+            array[n:] = block
 
 
-def read_csv(path: str | Path, expected_header: Callable[[list[str]], list[str]]) -> CsvTable:
-    """The header and non-blank rows of the CSV file at ``path``; ``expected_header``
-    maps the file's header to the one its format requires."""
+def read_csv(
+    path: str | Path,
+    expected_header: Callable[[list[str]], list[str]],
+    columns: Callable[[list[str]], Sequence[tuple[slice, type]]],
+) -> CsvTable:
+    """Read the CSV file at ``path``, parsing its rows in blocks as it goes.
+
+    ``expected_header`` maps the file's header to the one its format
+    requires; ``columns`` maps it to the (slice, dtype) pairs to parse, one
+    array each. A repeated sample id raises naming its second line."""
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -120,19 +144,35 @@ def read_csv(path: str | Path, expected_header: Callable[[list[str]], list[str]]
             expected = expected_header(header)
             if header != expected:
                 raise ParseError(f"{path}: malformed header {header}, expected {expected}")
+            specs = columns(header)
+            arrays = [np.empty((0, len(header[cols])), dtype) for cols, dtype in specs]
+            table = CsvTable(str(path), header, [], arrays, np.empty(0, np.int64))
+            seen: set[str] = set()
             rows, lines = [], []
-            for lineno, row in enumerate(reader, start=2):
+            end = reader.line_num
+            for row in reader:
+                # A quoted field may span lines: a row starts on the line
+                # after the one the row before it ended on.
+                lineno, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise ParseError(
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                     )
+                if row[0] in seen:
+                    raise ParseError(f"{path}:{lineno}: duplicate sample_id {row[0]!r}")
+                seen.add(row[0])
+                table.sample_ids.append(row[0])
                 rows.append(row)
                 lines.append(lineno)
+                if len(rows) == _BLOCK_ROWS:
+                    table._append(rows, lines, specs)
+                    rows, lines = [], []
+            table._append(rows, lines, specs)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return CsvTable(str(path), header, rows, lines)
+    return table
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:

@@ -23,6 +23,9 @@ CHECKPOINT_MAGIC = b"RCLM0001"
 
 PROB_FLOOR = 1e-12  # clamp before logs; saturated softmax otherwise underflows
 
+# Rows per forward pass when confidence() scores a batch.
+_SCORE_ROWS = 4096
+
 # Adaptive-moment decay rates and the update's denominator guard.
 BETA1 = 0.9
 BETA2 = 0.999
@@ -102,16 +105,21 @@ def confidence(model: StudentModel, x: np.ndarray):
     """(max probability, argmax class) per sample; ties -> lowest index.
 
     Accepts a single feature vector (returns scalars) or a batch
-    (returns arrays). The max probability is always >= 1/C.
+    (returns arrays). The max probability is always >= 1/C. A batch is
+    scored ``_SCORE_ROWS`` rows at a time, so scoring a whole dataset
+    holds one block's activations, not an (N, h) array per layer.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    probs = predict_proba(model, x)
-    predicted = probs.argmax(axis=1)
-    p = probs[np.arange(probs.shape[0]), predicted]
+    single = np.ndim(x) == 1
+    X = _as_batch(model, x)
+    p, predicted = np.empty(len(X)), np.empty(len(X), np.int64)
+    for start in range(0, len(X), _SCORE_ROWS):
+        probs = predict_proba(model, X[start : start + _SCORE_ROWS])
+        rows = slice(start, start + len(probs))
+        predicted[rows] = probs.argmax(axis=1)
+        p[rows] = probs[np.arange(len(probs)), predicted[rows]]
     if single:
         return float(p[0]), int(predicted[0])
-    return p, predicted.astype(np.int64)
+    return p, predicted
 
 
 def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:

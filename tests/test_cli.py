@@ -464,6 +464,35 @@ class TestStrictConfigs:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, path, named",
+        [
+            ("simulate", ("class_names",), "class_names[0]"),
+            ("train", ("paths", "vocab"), "paths.vocab"),
+        ],
+        ids=["simulate-class_names", "train-paths.vocab"],
+    )
+    def test_lone_surrogate_string_exit_2_creates_nothing(
+        self, command, path, named, tmp_path, request, capsys
+    ):
+        # simulate crashed with UnicodeEncodeError (exit 1) after it had
+        # written features.csv.
+        out = tmp_path / "out"
+        if command == "train":
+            pipeline = request.getfixturevalue("pipeline_dir")
+            config = json.loads(write_run_config(tmp_path, pipeline, out).read_text())
+            value = "a\ud800b"
+        else:
+            config = SIM_SPEC
+            value = ["a\ud800b", "b", "c", "d"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edited(config, path, value)), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{named}: not valid UTF-8" in err
+        assert not out.exists()
+
     # Each of these used to leave an empty output directory behind.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -6,8 +6,11 @@ replace their target atomically or not at all.
 """
 
 import csv
+import io
 import json
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,3 +243,148 @@ def test_labels_csv_round_trip(tmp_path_factory, ids, data_):
     path = tmp_path_factory.mktemp("csv") / "labels.csv"
     fileio.write_csv(path, ["sample_id", "label"], labels.items())
     assert data.load_labels_csv(path) == labels
+
+
+# A quoted field may hold a newline, so a row can start below the line
+# count of the rows before it; each fault's row starts on line 5, except
+# the short row's, on line 4. These errors named the record number.
+QUOTED_NEWLINE_FAULTS = {
+    "non-numeric value": ('"a\nb",1,0\nc,1,0\nd,x,0\n', 5),
+    "short row": ('"a\nb",1,0\nc,1\n', 4),
+    "duplicate sample_id": ('"a\nb",1,0\nc,1,0\nc,0,1\n', 5),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(QUOTED_NEWLINE_FAULTS))
+def test_fault_after_quoted_newline_names_physical_line(tmp_path, fault):
+    body, line = QUOTED_NEWLINE_FAULTS[fault]
+    path = tmp_path / "pl.csv"
+    path.write_bytes(("sample_id,teacher_0,teacher_1\n" + body).encode())
+    with pytest.raises(ParseError, match=re.escape(f"{path}:{line}: ")):
+        consensus.read_matrix_csv(path)
+
+
+BLOCK = 4
+# Row counts on and around the edges of BLOCK-row blocks.
+BLOCK_EDGE_ROWS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+# Ids built from the characters CSV must quote, so rows span lines.
+QUOTED_IDS = st.text(st.sampled_from('ab,"\n é'), max_size=4)
+INT64 = st.integers(-(2**63), 2**63 - 1).map(str)
+FLOAT32 = st.floats(allow_nan=False, allow_infinity=False, width=32).map(str)
+
+
+@st.composite
+def block_edge_csvs(draw):
+    """(reader, header, rows, blank-line flags) for a file whose row count
+    sits on a block edge; a blank line goes before each flagged row."""
+    reader = draw(st.sampled_from(sorted(CSV_READERS)))
+    n = draw(st.sampled_from(BLOCK_EDGE_ROWS))
+    if reader == "pseudo_labels":
+        m = draw(st.integers(2, 3))
+        header = ["sample_id"] + [f"teacher_{t}" for t in range(m)]
+        cells = [st.integers(-1, 9).map(str)] * m
+    elif reader == "features":
+        dim, has_label = draw(st.integers(1, 3)), draw(st.booleans())
+        header = ["sample_id"] + [f"f{j}" for j in range(dim)] + ["label"] * has_label
+        cells = [FLOAT32] * dim + [st.integers(0, 2**63 - 1).map(str)] * has_label
+    else:
+        header, cells = ["sample_id", "label"], [INT64]
+    ids = draw(st.lists(QUOTED_IDS, min_size=n, max_size=n, unique=True))
+    rows = [[sid] + [draw(cell) for cell in cells] for sid in ids]
+    blanks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return reader, header, rows, blanks
+
+
+def write_block_edge_csv(path, header, rows, blanks) -> list[int]:
+    """Write the file; return the line on which each row starts."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    lines = []
+    for row, blank in zip(rows, blanks):
+        if blank:
+            buf.write("\n")
+        lines.append(buf.getvalue().count("\n") + 1)
+        writer.writerow(row)
+    path.write_bytes(buf.getvalue().encode("utf-8"))
+    return lines
+
+
+def reference_parse(path, reader: str):
+    """The file through csv.reader and one np.array over all its rows."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    ids = [row[0] for row in rows]
+    if reader == "pseudo_labels":
+        labels = np.array([row[1:] for row in rows], np.int64)
+        return ids, labels.reshape(len(rows), len(header) - 1)
+    if reader == "labels":
+        return ids, np.array([row[1] for row in rows], np.int64)
+    dim = len(header) - 1 - (header[-1] == "label")
+    features = np.array([row[1 : 1 + dim] for row in rows], np.float32).reshape(len(rows), dim)
+    labels = np.array([row[-1] for row in rows], np.int64) if header[-1] == "label" else None
+    return ids, features.astype(np.float64), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_file=block_edge_csvs())
+def test_block_edges_parse_like_one_pass(tmp_path_factory, csv_file):
+    reader, header, rows, blanks = csv_file
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    write_block_edge_csv(path, header, rows, blanks)
+    with mock.patch.object(fileio, "_BLOCK_ROWS", BLOCK):
+        loaded = CSV_READERS[reader][0](path)
+    expected = reference_parse(path, reader)
+    if reader == "pseudo_labels":
+        assert loaded.sample_ids == expected[0]
+        assert np.array_equal(loaded.labels, expected[1])
+        assert loaded.labels.shape == expected[1].shape
+    elif reader == "labels":
+        assert loaded == dict(zip(expected[0], expected[1].tolist()))
+    else:
+        assert loaded.sample_ids == expected[0]
+        assert np.array_equal(loaded.features, expected[1])
+        assert loaded.features.shape == expected[1].shape
+        if expected[2] is None:
+            assert loaded.true_labels is None
+        else:
+            assert np.array_equal(loaded.true_labels, expected[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_file=block_edge_csvs().filter(lambda f: f[2]), data_=st.data())
+def test_block_edges_bad_value_names_its_start_line(tmp_path_factory, csv_file, data_):
+    reader, header, rows, blanks = csv_file
+    i = data_.draw(st.integers(0, len(rows) - 1), label="bad row")
+    j = data_.draw(st.integers(1, len(header) - 1), label="bad column")
+    rows[i][j] = "x"
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    lines = write_block_edge_csv(path, header, rows, blanks)
+    with mock.patch.object(fileio, "_BLOCK_ROWS", BLOCK):
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{lines[i]}: expected ")):
+            CSV_READERS[reader][0](path)
+
+
+def test_read_holds_one_block_of_rows(tmp_path, monkeypatch):
+    """What a read allocates and frees again (its tracemalloc peak minus what
+    the result keeps) is one block of string rows, whatever the row count.
+    The rows are wide (64 two-digit labels, about 3.5 kB as strings): the
+    one per-row cost a read holds until it returns, the set of ids seen,
+    is a few dozen bytes a row."""
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", 64)
+
+    def transient(n: int) -> int:
+        path = tmp_path / f"{n}.csv"
+        labels = 10 + np.arange(n * 64).reshape(n, 64) % 90
+        matrix = rd.PseudoLabelMatrix([f"s{i}" for i in range(n)], labels, 100)
+        consensus.write_matrix_csv(matrix, path)
+        tracemalloc.start()
+        try:
+            matrix = consensus.read_matrix_csv(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.n == n
+        return peak - retained
+
+    assert transient(1024) < 1.5 * transient(512)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relidistill as rd
+from relidistill import student
 from relidistill.errors import ConfigError, ParseError, ShapeMismatchError
 from relidistill.student import PROB_FLOOR, loss_and_grads
 
@@ -292,6 +294,36 @@ class TestConfidence:
         X = np.random.default_rng(9).normal(size=(50, 4))
         p, _ = rd.confidence(model, X)
         assert np.all(p >= 1 / 5)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 15])
+    def test_blocks_score_like_one_pass(self, monkeypatch, n):
+        monkeypatch.setattr(student, "_SCORE_ROWS", 7)
+        model = rd.init_student([4, 6, 5], seed=8)
+        X = np.random.default_rng(9).normal(size=(n, 4))
+        probs = rd.predict_proba(model, X)
+        p, predicted = rd.confidence(model, X)
+        assert predicted.dtype == np.int64
+        assert np.array_equal(predicted, probs.argmax(axis=1))
+        np.testing.assert_allclose(p, probs.max(axis=1), rtol=1e-12, atol=0)
+
+    def test_scoring_holds_one_block_of_activations(self, monkeypatch):
+        """What scoring allocates and frees again (tracemalloc peak minus
+        the retained result) is one block's activations, whatever N."""
+        monkeypatch.setattr(student, "_SCORE_ROWS", 64)
+        model = rd.init_student([4, 256, 5], seed=8)
+
+        def transient(n: int) -> int:
+            X = np.random.default_rng(9).normal(size=(n, 4))
+            tracemalloc.start()
+            try:
+                result = rd.confidence(model, X)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result[1]) == n
+            return peak - retained
+
+        assert transient(4096) < 1.5 * transient(2048)
 
 
 class TestCheckpoints:
