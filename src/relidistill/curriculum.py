@@ -110,6 +110,7 @@ class StageConfig:
 class TrainReport:
     """What one stage did.
 
+    ``touched_sample_count`` is the size of the stage's sample pool.
     ``wall_time_s`` is the only non-deterministic field and is excluded
     from the JSON form so written reports are byte-reproducible.
     """
@@ -120,7 +121,7 @@ class TrainReport:
     loss_curve: list[tuple[int, float]]
     accuracy: float | None = None
     label_sources: dict[str, int] | None = None
-    touched_sample_indices: list[int] = field(default_factory=list)
+    touched_sample_count: int = 0
     wall_time_s: float | None = None
 
     def to_json_dict(self) -> dict:
@@ -130,7 +131,7 @@ class TrainReport:
             "final_loss": self.final_loss,
             "loss_curve": [[int(i), float(l)] for i, l in self.loss_curve],
             "accuracy": self.accuracy,
-            "touched_sample_count": len(self.touched_sample_indices),
+            "touched_sample_count": self.touched_sample_count,
         }
         if self.label_sources is not None:
             out["label_sources"] = dict(self.label_sources)
@@ -188,7 +189,7 @@ def _train_stage(
         iterations=cfg.max_iter,
         final_loss=last_loss,
         loss_curve=curve,
-        touched_sample_indices=sorted(int(i) for i in pool),
+        touched_sample_count=int(pool.size),
     )
 
 
@@ -336,11 +337,7 @@ def run_mmr(
         sources["masked"] += int((~confident).sum())
         loss_sup, grads_weak = loss_and_grads(model, x_weak, refined)
         loss_cons, grads_strong = loss_and_grads(model, x_strong, refined)
-        combined = [
-            (gw + lam * gs, bw + lam * bs)
-            for (gw, bw), (gs, bs) in zip(grads_weak, grads_strong)
-        ]
-        return loss_sup + lam * loss_cons, combined
+        return loss_sup + lam * loss_cons, grads_weak + lam * grads_strong
 
     report = _train_stage(model, cfg, pool, seed, batch_loss)
     report.label_sources = sources
@@ -403,7 +400,7 @@ def run_curriculum(
             report = run_mmr(model, X, part, pl, cfg, policy, seed)
         report.wall_time_s = time.perf_counter() - started
         # NaN fails the comparison; so does anything float32 would round to inf.
-        if not all(np.all(np.abs(p) <= F32_MAX) for p in model.weights + model.biases):
+        if not np.all(np.abs(model.params) <= F32_MAX):
             raise StageError(f"{cfg.stage}: parameters are not finite in float32")
         if truths is not None:
             # Clean (unaugmented) forward pass on the aligned set.

@@ -4,6 +4,12 @@ Rectified-linear hidden layers, identity output layer, hand-derived
 cross-entropy gradients, and an adaptive-moment optimizer. Everything
 runs in float64 for gradient fidelity; checkpoints store float32
 little-endian, and a file survives load -> save byte-identically.
+
+All parameters live in one flat vector, ``StudentModel.params``: layer
+by layer, the (fan_in, fan_out) weights row-major, then the fan_out
+biases. The gradient of :func:`loss_and_grads`, both optimizer moments
+and the checkpoint payload share that layout, and :func:`_layers` is
+the one place that spells it out.
 """
 
 from __future__ import annotations
@@ -32,24 +38,60 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
+def _n_params(layer_dims: list[int]) -> int:
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
+
+
+def _layers(layer_dims: list[int], vec: np.ndarray):
+    """Per-layer (weights, biases) views of a vector laid out like
+    ``StudentModel.params``: per layer, weights row-major, then biases."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(layer_dims, layer_dims[1:]):
+        weights.append(vec[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(vec[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
 @dataclass
 class StudentModel:
-    """Weights and biases per layer; ``layer_dims`` is [d, h1, ..., C]."""
+    """A student MLP; ``layer_dims`` is [d, h1, ..., C].
+
+    The constructor copies the given per-layer arrays into ``params``,
+    one float64 vector in checkpoint order, and rebinds ``weights[l]``
+    and ``biases[l]`` to views into it: writing either changes
+    ``params``. A shape that disagrees with ``layer_dims`` raises
+    ShapeMismatchError.
+    """
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.layer_dims) < 2 or min(self.layer_dims) < 1:
+            raise ConfigError(f"bad layer dims {self.layer_dims}")
+        self.params = np.empty(_n_params(self.layer_dims))
+        weights, biases = _layers(self.layer_dims, self.params)
+        if len(self.weights) != len(weights) or len(self.biases) != len(biases):
+            raise ShapeMismatchError(f"{len(weights)} layers expected for dims {self.layer_dims}")
+        for given, view in zip([*self.weights, *self.biases], weights + biases):
+            if np.shape(given) != view.shape:
+                raise ShapeMismatchError(
+                    f"parameter shape {np.shape(given)} != {view.shape} for dims {self.layer_dims}"
+                )
+            view[...] = given
+        self.weights, self.biases = weights, biases
 
     @property
     def n_classes(self) -> int:
         return self.layer_dims[-1]
 
     def copy(self) -> "StudentModel":
-        return StudentModel(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return StudentModel(list(self.layer_dims), self.weights, self.biases)
 
 
 def init_student(layer_dims: list[int], seed: int) -> StudentModel:
@@ -137,14 +179,14 @@ def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
 
 
 def loss_and_grads(model: StudentModel, X: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its analytic parameter gradients.
+    """Mean cross-entropy and its analytic gradient, one vector laid out
+    like ``model.params``.
 
     The output-logit gradient is (softmax - one_hot) / batch; hidden
     deltas backpropagate through the rectifier masks.
     """
     X = _as_batch(model, X)
     labels = np.asarray(labels, dtype=np.int64)
-    n_layers = len(model.weights)
     activations = _hidden(model, X)
     probs = softmax(activations[-1] @ model.weights[-1] + model.biases[-1])
     loss = cross_entropy(probs, labels)
@@ -153,9 +195,11 @@ def loss_and_grads(model: StudentModel, X: np.ndarray, labels: np.ndarray):
     delta = probs.copy()
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers  # type: ignore
-    for layer in reversed(range(n_layers)):
-        grads[layer] = (activations[layer].T @ delta, delta.sum(axis=0))
+    grads = np.empty_like(model.params)
+    grad_w, grad_b = _layers(model.layer_dims, grads)
+    for layer in reversed(range(len(grad_w))):
+        grad_w[layer][...] = activations[layer].T @ delta
+        grad_b[layer][...] = delta.sum(axis=0)
         if layer > 0:
             # A rectified output is positive exactly where its input was.
             delta = (delta @ model.weights[layer].T) * (activations[layer] > 0)
@@ -163,51 +207,45 @@ def loss_and_grads(model: StudentModel, X: np.ndarray, labels: np.ndarray):
 
 
 def backward(model: StudentModel, X: np.ndarray, labels: np.ndarray):
-    """Gradients only; see :func:`loss_and_grads`."""
-    return loss_and_grads(model, X, labels)[1]
+    """Per-layer (weight, bias) gradient pairs; see :func:`loss_and_grads`."""
+    return list(zip(*_layers(model.layer_dims, loss_and_grads(model, X, labels)[1])))
 
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment state; accumulators always mirror parameter shapes."""
+    """Adaptive-moment state; both moments are laid out like ``params``."""
 
     learning_rate: float
+    moment1: np.ndarray
+    moment2: np.ndarray
     step: int = 0
-    moments1: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    moments2: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def init_optimizer(model: StudentModel, learning_rate: float) -> OptimizerState:
     if learning_rate <= 0:
         raise ConfigError("learning rate must be positive")
-    state = OptimizerState(learning_rate=learning_rate)
-    for w, b in zip(model.weights, model.biases):
-        state.moments1.append((np.zeros_like(w), np.zeros_like(b)))
-        state.moments2.append((np.zeros_like(w), np.zeros_like(b)))
-    return state
+    return OptimizerState(learning_rate, np.zeros_like(model.params), np.zeros_like(model.params))
 
 
-def optimizer_step(model: StudentModel, state: OptimizerState, grads) -> None:
-    """One bias-corrected adaptive-moment update, in place."""
-    if len(grads) != len(model.weights):
-        raise ShapeMismatchError("gradient list does not match model layers")
+def optimizer_step(model: StudentModel, state: OptimizerState, grads: np.ndarray) -> None:
+    """One bias-corrected adaptive-moment update, in place.
+
+    ``grads`` is one vector laid out like ``model.params``, as
+    :func:`loss_and_grads` returns it.
+    """
+    if getattr(grads, "shape", None) != model.params.shape:
+        raise ShapeMismatchError(
+            f"gradient shape {np.shape(grads)} != parameter shape {model.params.shape}"
+        )
     state.step += 1
     correction1 = 1.0 - BETA1**state.step
     correction2 = 1.0 - BETA2**state.step
-    for layer, (gw, gb) in enumerate(grads):
-        params = (model.weights[layer], model.biases[layer])
-        for param, grad, m, v in zip(
-            params, (gw, gb), state.moments1[layer], state.moments2[layer]
-        ):
-            if grad.shape != param.shape:
-                raise ShapeMismatchError(
-                    f"gradient shape {grad.shape} != parameter shape {param.shape}"
-                )
-            m *= BETA1
-            m += (1.0 - BETA1) * grad
-            v *= BETA2
-            v += (1.0 - BETA2) * grad * grad
-            param -= state.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + EPSILON)
+    m, v = state.moment1, state.moment2
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * grads * grads
+    model.params -= state.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + EPSILON)
 
 
 @dataclass
@@ -273,17 +311,13 @@ def augment(
 
 
 def save_checkpoint(model: StudentModel, path: str | Path) -> None:
-    """Binary checkpoint: magic, u64 dim count, u64 dims, f32 LE params.
-
-    Parameters are written in layer order, weights before biases,
-    weights row-major. The write is atomic (temp file + rename).
+    """Binary checkpoint: magic, u64 dim count, u64 dims, then ``params``
+    as float32 little-endian. The write is atomic (temp file + rename).
     """
     payload = bytearray(CHECKPOINT_MAGIC)
     payload += struct.pack("<Q", len(model.layer_dims))
     payload += struct.pack(f"<{len(model.layer_dims)}Q", *model.layer_dims)
-    for w, b in zip(model.weights, model.biases):
-        payload += w.astype("<f4").tobytes(order="C")
-        payload += b.astype("<f4").tobytes()
+    payload += model.params.astype("<f4").tobytes()
     atomic_write_bytes(path, bytes(payload))
 
 
@@ -298,21 +332,13 @@ def load_checkpoint(path: str | Path) -> StudentModel:
     offset += 8
     if n_dims < 2 or len(raw) < offset + 8 * n_dims:
         raise ParseError(f"{path}: truncated layer dims")
-    layer_dims = list(struct.unpack_from(f"<{n_dims}Q", raw, offset))
+    layer_dims = [int(d) for d in struct.unpack_from(f"<{n_dims}Q", raw, offset)]
     offset += 8 * n_dims
-    n_params = sum(
-        fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_dims, layer_dims[1:])
-    )
-    if len(raw) != offset + 4 * n_params:
+    if min(layer_dims) < 1:
+        raise ParseError(f"{path}: layer dims {layer_dims} include a zero")
+    if len(raw) != offset + 4 * _n_params(layer_dims):
         raise ParseError(f"{path}: parameter payload size mismatch")
-    if not np.isfinite(np.frombuffer(raw, dtype="<f4", offset=offset)).all():
+    params = np.frombuffer(raw, dtype="<f4", offset=offset)
+    if not np.isfinite(params).all():
         raise ParseError(f"{path}: non-finite parameters")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims, layer_dims[1:]):
-        w = np.frombuffer(raw, dtype="<f4", count=fan_in * fan_out, offset=offset)
-        offset += 4 * fan_in * fan_out
-        b = np.frombuffer(raw, dtype="<f4", count=fan_out, offset=offset)
-        offset += 4 * fan_out
-        weights.append(w.reshape(fan_in, fan_out).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    return StudentModel([int(d) for d in layer_dims], weights, biases)
+    return StudentModel(layer_dims, *_layers(layer_dims, params.astype(np.float64)))

@@ -1,6 +1,8 @@
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relidistill.cli import main, parse_stage_configs
@@ -359,6 +361,20 @@ class TestTrainEval:
         data_mod.save_features_binary(ds, tmp_path / "f.bin")
         code = main(["eval", str(out_dir / "checkpoint_mmr.bin"), str(tmp_path / "f.bin")])
         assert code == 3
+
+    def test_eval_zero_width_checkpoint_exit_3(self, pipeline_dir, tmp_path, capsys):
+        # dims [8, 0, 4]: a zero-width hidden layer leaves only the output
+        # biases, so the payload is 4 floats and the sizes agree.
+        checkpoint = tmp_path / "zero.bin"
+        checkpoint.write_bytes(
+            b"RCLM0001" + struct.pack("<4Q", 3, 8, 0, 4) + np.zeros(4, "<f4").tobytes()
+        )
+        out = tmp_path / "acc.json"
+        features = pipeline_dir / "features.csv"
+        code = main(["eval", str(checkpoint), str(features), "--out", str(out)])
+        assert code == 3
+        assert "layer dims" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relidistill as rd
+from relidistill import curriculum
 from relidistill.cli import parse_stage_configs
 from relidistill.consensus import TAG_LESS_RELIABLE, TAG_RELIABLE, partition
 from relidistill.curriculum import (
@@ -36,6 +37,21 @@ def rows_trained(n: int, cfg) -> int:
     return sum(
         min(cfg.batch_size, n - (i % per_epoch) * cfg.batch_size) for i in range(cfg.max_iter)
     )
+
+
+def record_trained_rows(monkeypatch, features) -> list[int]:
+    """Patch the stages' gradient call to record, in order, the index in
+    ``features`` of every row a batch trains on."""
+    index = {row.tobytes(): i for i, row in enumerate(features)}
+    assert len(index) == len(features)
+    trained: list[int] = []
+
+    def recording(model, X, labels):
+        trained.extend(index[row.tobytes()] for row in X)
+        return loss_and_grads(model, X, labels)
+
+    monkeypatch.setattr(curriculum, "loss_and_grads", recording)
+    return trained
 
 
 class TestStageConfig:
@@ -179,7 +195,7 @@ class TestRunRkt:
                 done += 1
         _, oracle_pred = rd.confidence(oracle, small_blobs.features)
         assert float(np.mean(oracle_pred == small_blobs.true_labels)) >= 0.95
-        assert report.touched_sample_indices == list(range(small_blobs.n))
+        assert report.touched_sample_count == small_blobs.n
 
     def test_single_reliable_sample(self):
         ds = rd.make_blobs(20, 2, 4, 0.5, seed=1)
@@ -193,7 +209,7 @@ class TestRunRkt:
         model = rd.init_student([4, 8, 2], seed=2)
         report = run_rkt(model, ds.features, part, pl, cfg, seed=2)
         assert report.iterations == 25
-        assert report.touched_sample_indices == [0]
+        assert report.touched_sample_count == 1
 
     def test_empty_reliable_subset(self):
         ds = rd.make_blobs(9, 3, 4, 0.5, seed=2)
@@ -204,14 +220,17 @@ class TestRunRkt:
         with pytest.raises(StageError):
             run_rkt(model, ds.features, partition(pl), pl, cfg, seed=3)
 
-    def test_touches_only_reliable_samples(self, small_teacher_setup):
+    def test_touches_only_reliable_samples(self, small_teacher_setup, monkeypatch):
         ds, pl = small_teacher_setup
         part = partition(pl)
         cfg = rd.StageConfig("RKT", 1e-3, 32, 40)
         model = rd.init_student([ds.dim, 16, 4], seed=9)
+        trained = record_trained_rows(monkeypatch, ds.features)
         report = run_rkt(model, ds.features, part, pl, cfg, seed=9)
-        assert set(report.touched_sample_indices) == set(part.indices(TAG_RELIABLE))
-        assert 0 < len(report.touched_sample_indices) < ds.n
+        assert len(trained) == rows_trained(part.indices(TAG_RELIABLE).size, cfg)
+        assert set(trained) == set(part.indices(TAG_RELIABLE).tolist())
+        assert report.touched_sample_count == part.indices(TAG_RELIABLE).size
+        assert 0 < report.touched_sample_count < ds.n
 
     def test_bit_identical_reruns(self, small_teacher_setup, tmp_path):
         ds, pl = small_teacher_setup
@@ -228,14 +247,20 @@ class TestRunRkt:
 
 
 class TestRunSmke:
-    def test_touches_only_r_and_lr(self, small_teacher_setup):
+    def test_touches_only_r_and_lr(self, small_teacher_setup, monkeypatch):
         ds, pl = small_teacher_setup
         part = partition(pl)
         cfg = rd.StageConfig("SMKE", 1e-3, 64, 40, tau=0.7)
         model = rd.init_student([ds.dim, 16, 4], seed=4)
+        trained = record_trained_rows(monkeypatch, ds.features)
         report = run_smke(model, ds.features, part, pl, cfg, seed=4)
-        allowed = set(part.indices(TAG_RELIABLE)) | set(part.indices(TAG_LESS_RELIABLE))
-        assert set(report.touched_sample_indices) == allowed
+        allowed = set(part.indices(TAG_RELIABLE).tolist()) | set(
+            part.indices(TAG_LESS_RELIABLE).tolist()
+        )
+        assert len(allowed) < ds.n
+        assert len(trained) == rows_trained(len(allowed), cfg)
+        assert set(trained) == allowed
+        assert report.touched_sample_count == len(allowed)
 
     def test_tau_endpoints_branch_counters(self, small_teacher_setup):
         ds, pl = small_teacher_setup
@@ -289,7 +314,7 @@ class TestRunMmr:
         model = rd.init_student([ds.dim, 16, 4], seed=13)
         cfg = rd.StageConfig("MMR", 1e-3, 64, 20, tau=0.95, lambda_cons=0.5)
         report = run_mmr(model, ds.features, part, pl, cfg, rd.AugmentPolicy(), seed=13)
-        assert report.touched_sample_indices == list(range(pl.n))
+        assert report.touched_sample_count == pl.n
 
     def test_label_sources_count_every_trained_row(self, small_teacher_setup):
         ds, pl = small_teacher_setup

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestOptimizer:
         model = rd.init_student([3, 2], seed=7)
         before = [w.copy() for w in model.weights]
         state = rd.init_optimizer(model, 0.05)
-        zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(model.weights, model.biases)]
+        zeros = np.zeros_like(model.params)
         rd.optimizer_step(model, state, zeros)
         for w, orig in zip(model.weights, before):
             assert np.array_equal(w, orig)
@@ -155,7 +156,7 @@ class TestOptimizer:
         # One parameter, quadratic objective: step = lr * sign(gradient).
         model = rd.StudentModel([1, 1], [np.array([[2.0]])], [np.array([0.0])])
         state = rd.init_optimizer(model, 0.1)
-        rd.optimizer_step(model, state, [(np.array([[1.5]]), np.array([0.0]))])
+        rd.optimizer_step(model, state, np.array([1.5, 0.0]))
         assert model.weights[0][0, 0] == pytest.approx(2.0 - 0.1, abs=1e-7)
 
     def test_deterministic_runs(self):
@@ -178,7 +179,7 @@ class TestOptimizer:
         model = rd.init_student([3, 2], seed=0)
         state = rd.init_optimizer(model, 1e-3)
         with pytest.raises(ShapeMismatchError):
-            rd.optimizer_step(model, state, [(np.zeros((2, 2)), np.zeros(2))])
+            rd.optimizer_step(model, state, np.zeros(6))
 
 
 class TestAugment:
@@ -364,6 +365,98 @@ class TestCheckpoints:
         path = tmp_path / "m.bin"
         rd.save_checkpoint(model, path)
         with pytest.raises(ParseError, match="non-finite"):
+            rd.load_checkpoint(path)
+
+
+def reference_adam_step(weights, biases, grads, moments, step, learning_rate):
+    """Per-layer adaptive-moment update, the layout-free reference."""
+    c1 = 1.0 - student.BETA1**step
+    c2 = 1.0 - student.BETA2**step
+    for layer, (gw, gb) in enumerate(grads):
+        for param, grad, (m, v) in zip(
+            (weights[layer], biases[layer]), (gw, gb), moments[layer]
+        ):
+            m *= student.BETA1
+            m += (1.0 - student.BETA1) * grad
+            v *= student.BETA2
+            v += (1.0 - student.BETA2) * grad * grad
+            param -= learning_rate * (m / c1) / (np.sqrt(v / c2) + student.EPSILON)
+
+
+class TestParameterLayout:
+    def test_hand_built_checkpoint_loads(self, tmp_path):
+        # Per layer: (fan_in, fan_out) weights row-major, then fan_out biases.
+        dims = [3, 4, 2]
+        values = np.arange(3 * 4 + 4 + 4 * 2 + 2, dtype="<f4") / 8
+        path = tmp_path / "hand.bin"
+        path.write_bytes(
+            b"RCLM0001" + struct.pack("<4Q", 3, *dims) + values.tobytes()
+        )
+        model = rd.load_checkpoint(path)
+        assert model.layer_dims == dims
+        assert np.array_equal(model.weights[0], values[0:12].reshape(3, 4))
+        assert np.array_equal(model.biases[0], values[12:16])
+        assert np.array_equal(model.weights[1], values[16:24].reshape(4, 2))
+        assert np.array_equal(model.biases[1], values[24:26])
+        assert np.array_equal(model.params, values)
+
+    def test_optimizer_matches_per_layer_reference(self):
+        model = rd.init_student([6, 16, 5], seed=21)
+        weights = [w.copy() for w in model.weights]
+        biases = [b.copy() for b in model.biases]
+        moments = [
+            tuple((np.zeros_like(p), np.zeros_like(p)) for p in (w, b))
+            for w, b in zip(weights, biases)
+        ]
+        state = rd.init_optimizer(model, 1e-2)
+        rng = np.random.default_rng(22)
+        for step in range(1, 201):
+            X = rng.normal(size=(7, 6))
+            y = rng.integers(0, 5, 7)
+            _, grads = loss_and_grads(model, X, y)
+            rd.optimizer_step(model, state, grads)
+            reference = rd.StudentModel([6, 16, 5], weights, biases)
+            reference_adam_step(
+                weights, biases, rd.backward(reference, X, y), moments, step, 1e-2
+            )
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            assert np.array_equal(got, want)
+
+    def test_weights_and_biases_are_views_of_params(self):
+        model = rd.init_student([3, 4, 2], seed=4)
+        model.weights[0][1, 2] = 7.5
+        model.biases[1][1] = -3.25
+        assert model.params[1 * 4 + 2] == 7.5
+        assert model.params[3 * 4 + 4 + 4 * 2 + 1] == -3.25
+
+    def test_copy_shares_no_memory(self):
+        model = rd.init_student([3, 4, 2], seed=4)
+        clone = model.copy()
+        assert np.array_equal(clone.params, model.params)
+        for a in [model.params, *model.weights, *model.biases]:
+            for b in [clone.params, *clone.weights, *clone.biases]:
+                assert not np.shares_memory(a, b)
+
+    def test_misshaped_model_rejected(self):
+        # (4, 3) holds the 12 floats a (3, 4) matrix needs, in another layout.
+        with pytest.raises(ShapeMismatchError):
+            rd.StudentModel([3, 4], [np.zeros((4, 3))], [np.zeros(4)])
+        with pytest.raises(ShapeMismatchError):
+            rd.StudentModel([3, 4], [np.zeros((3, 4))], [np.zeros(3)])
+        with pytest.raises(ShapeMismatchError):
+            rd.StudentModel([3, 4, 2], [np.zeros((3, 4))], [np.zeros(4)])
+        with pytest.raises(ConfigError):
+            rd.StudentModel(
+                [3, 0, 2], [np.zeros((3, 0)), np.zeros((0, 2))], [np.zeros(0), np.zeros(2)]
+            )
+
+    def test_zero_layer_dim_checkpoint_rejected(self, tmp_path):
+        # dims [16, 0, 10]: the 10 output biases fill the payload exactly.
+        path = tmp_path / "zero.bin"
+        path.write_bytes(
+            b"RCLM0001" + struct.pack("<4Q", 3, 16, 0, 10) + np.zeros(10, "<f4").tobytes()
+        )
+        with pytest.raises(ParseError, match="layer dims"):
             rd.load_checkpoint(path)
 
 
