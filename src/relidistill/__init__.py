@@ -35,7 +35,6 @@ from .data import (
     load_class_vocab,
     load_features,
     make_blobs,
-    save_features_binary,
     save_features_csv,
     simulate_teachers,
 )

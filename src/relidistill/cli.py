@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import typing
@@ -36,7 +37,7 @@ _SIMULATE_KEYS = {
 }
 _TRAIN_KEYS = {
     "seed": int, "stages": list, "augment": dict, "paths": dict, "hidden_dims": list[int],
-    "mode_tie_break": str, "warm_start_checkpoint": str | None,
+    "warm_start_checkpoint": str | None,
 }
 _PATH_KEYS = dict.fromkeys(("features", "pseudo_labels", "vocab", "output_dir"), str)
 
@@ -52,13 +53,6 @@ def _parse_backend(value: str):
     raise argparse.ArgumentTypeError(
         f"backend must be 'ngram' or 'precomputed:<path>', got {value!r}"
     )
-
-
-def _parse_seed(value: str) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return seed
 
 
 def _read_config(args, keys: dict, required) -> dict:
@@ -82,7 +76,8 @@ def _read_config(args, keys: dict, required) -> dict:
 
 def _typed(value, tp, where: str):
     """``value`` checked against ``tp`` (int, float, str, dict, list[T], T | None);
-    a float also takes an integer in float range, a bool is never a number, and
+    a float also takes an integer in float range and must be finite (JSON's
+    ``NaN``, ``Infinity`` and ``1e400`` are not), a bool is never a number, and
     a string must encode as UTF-8, which a lone surrogate (``"\\ud800"``) cannot."""
     args = typing.get_args(tp)
     if type(None) in args:
@@ -94,6 +89,8 @@ def _typed(value, tp, where: str):
         value = float(value)
     if not isinstance(value, base) or isinstance(value, bool):
         raise ConfigError(f"{where}: expected {base.__name__}, got {value!r}")
+    if base is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
     if base is str:
         try:
             value.encode("utf-8")
@@ -247,7 +244,6 @@ def cmd_train(args) -> int:
         policy=policy,
         hidden_dims=cfg.get("hidden_dims"),
         checkpoint_dir=out_dir,
-        tie_break=cfg.get("mode_tie_break", "random"),
         warm_start=warm_model,
     )
 
@@ -312,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate synthetic features and teacher records")
     p.add_argument("--config", required=True, help="simulation spec JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=_parse_seed, default=None, help="override config seed")
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("label", help="convert teacher text records to a label matrix")
@@ -341,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the three-stage curriculum")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument("--seed", type=_parse_seed, default=None, help="override config seed")
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint on labeled features")
     p.add_argument("checkpoint", help="model checkpoint path")
-    p.add_argument("features", help="feature CSV or binary file")
+    p.add_argument("features", help="feature CSV")
     p.add_argument("--labels", default=None, help="sample_id,label CSV (optional)")
     p.add_argument("--out", default=None, help="also write the accuracy JSON here")
     p.set_defaults(func=cmd_eval)

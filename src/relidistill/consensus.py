@@ -21,7 +21,6 @@ TAG_RELIABLE = "R"
 TAG_LESS_RELIABLE = "LR"
 TAG_UNRELIABLE = "UR"
 TAGS = (TAG_RELIABLE, TAG_LESS_RELIABLE, TAG_UNRELIABLE)
-TIE_BREAKS = ("random", "lowest")
 
 
 @dataclass
@@ -90,12 +89,6 @@ def _check_row(row) -> np.ndarray:
     return _check_rows(np.asarray(row, dtype=np.int64).reshape(1, -1))[0]
 
 
-def check_tie_break(tie_break: str) -> None:
-    """Reject an unknown mode tie-break policy before any work is done."""
-    if tie_break not in TIE_BREAKS:
-        raise ConfigError(f"unknown tie-break policy {tie_break!r}")
-
-
 def _class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """(N, C) array: how many teachers gave each row each class.
 
@@ -143,40 +136,34 @@ def partition(matrix: PseudoLabelMatrix) -> ReliabilityPartition:
     return ReliabilityPartition(scores=counts / full, tags=tags)
 
 
-def mode_label(row, rng: np.random.Generator | None = None, tie_break: str = "random") -> int:
+def mode_label(row, rng: np.random.Generator | None = None) -> int:
     """Most frequent label in the row.
 
-    Ties are resolved uniformly at random via ``rng`` (default policy)
-    or deterministically to the lowest class index with
-    ``tie_break="lowest"``. A single-entry row is allowed.
+    Ties are resolved uniformly at random via ``rng``, which only a tied
+    row needs. A single-entry row is allowed.
     """
-    check_tie_break(tie_break)
     row = _check_row(row)
     values, counts = np.unique(row, return_counts=True)
     top = values[counts == counts.max()]
-    if top.size == 1 or tie_break == "lowest":
+    if top.size == 1:
         return int(top[0])
     if rng is None:
         raise ConfigError("random tie-break needs a seeded rng")
     return int(top[rng.integers(top.size)])
 
 
-def mode_labels(
-    matrix: PseudoLabelMatrix, seed: int, tie_break: str = "random", purpose: int = MODE_TIE
-) -> np.ndarray:
+def mode_labels(matrix: PseudoLabelMatrix, seed: int, purpose: int = MODE_TIE) -> np.ndarray:
     """Per-row mode labels with the tie rng split per row.
 
-    A tied row ``i`` under the random policy goes to :func:`mode_label`
-    with ``derive_rng(seed, purpose, i)``, so the result does not depend
-    on evaluation order or on which rows are consulted.
+    A tied row ``i`` goes to :func:`mode_label` with
+    ``derive_rng(seed, purpose, i)``, so the result does not depend on
+    evaluation order or on which rows are consulted.
     """
-    check_tie_break(tie_break)
     counts = _class_counts(matrix.labels, matrix.n_classes)
-    out = counts.argmax(axis=1)  # lowest index among the most frequent
-    if tie_break == "random":
-        tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
-        for i in np.flatnonzero(tied):
-            out[i] = mode_label(matrix.labels[i], rng=derive_rng(seed, purpose, int(i)))
+    out = counts.argmax(axis=1)  # the mode of every untied row
+    tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    for i in np.flatnonzero(tied):
+        out[i] = mode_label(matrix.labels[i], rng=derive_rng(seed, purpose, int(i)))
     return out
 
 

@@ -29,7 +29,6 @@ from .consensus import (
     ReliabilityPartition,
     TAG_RELIABLE,
     TAG_UNRELIABLE,
-    check_tie_break,
     mode_label,
     mode_labels,
     multi_hot_mask,
@@ -206,14 +205,13 @@ def smke_label(
     row: np.ndarray,
     tau: float,
     rng: np.random.Generator | None = None,
-    tie_break: str = "random",
 ) -> int:
     """The stage-2 label rule for one sample, from the current weights.
 
     Returns the student's own prediction when its confidence reaches
     ``tau``, otherwise the teachers' mode label.
     """
-    teacher = mode_label(row, rng=rng, tie_break=tie_break)
+    teacher = mode_label(row, rng=rng)
     labels, _ = _smke_labels(predict_proba(model, x), np.array([teacher]), tau)
     return int(labels[0])
 
@@ -273,7 +271,6 @@ def run_smke(
     pl: PseudoLabelMatrix,
     cfg: StageConfig,
     seed: int,
-    tie_break: str = "random",
 ) -> TrainReport:
     """Stage 2: widen to partial agreement with self-correcting labels.
 
@@ -286,7 +283,7 @@ def run_smke(
     pool = np.flatnonzero(part.tags != TAG_UNRELIABLE)
     if pool.size == 0:
         raise StageError("no samples with any teacher agreement; SMKE cannot run")
-    teacher_mode = mode_labels(pl, seed, tie_break=tie_break)
+    teacher_mode = mode_labels(pl, seed)
     sources = {"student": 0, "teacher": 0}
 
     def batch_loss(iteration, batch):
@@ -364,7 +361,6 @@ def run_curriculum(
     policy: AugmentPolicy | None = None,
     hidden_dims: list[int] | None = None,
     checkpoint_dir: str | Path | None = None,
-    tie_break: str = "random",
     warm_start: StudentModel | None = None,
 ) -> tuple[StudentModel, CurriculumRun]:
     """Chain the three stages; checkpoint after each.
@@ -374,9 +370,10 @@ def run_curriculum(
     ``checkpoint_dir`` is made at the first checkpoint, and a failed stage
     leaves earlier checkpoints in place. ``hidden_dims``
     None means ``DEFAULT_HIDDEN_DIMS``; ``[]`` gives a linear student.
+    With ``warm_start`` the checkpoint sets the shape, and ``hidden_dims``,
+    when given, must equal its hidden layer widths.
     """
     validate_stage_configs(configs)
-    check_tie_break(tie_break)
     if policy is None:
         policy = AugmentPolicy()
     X, truths = _align(ds, pl)
@@ -384,6 +381,12 @@ def run_curriculum(
     if warm_start is not None:
         if warm_start.layer_dims[0] != X.shape[1] or warm_start.n_classes != pl.n_classes:
             raise ConfigError("warm-start checkpoint does not match data dims")
+        warm_hidden = list(warm_start.layer_dims[1:-1])
+        if hidden_dims is not None and list(hidden_dims) != warm_hidden:
+            raise ConfigError(
+                f"hidden_dims {list(hidden_dims)} differ from the warm-start "
+                f"checkpoint's hidden layers {warm_hidden}"
+            )
         model = warm_start.copy()
     else:
         hidden = DEFAULT_HIDDEN_DIMS if hidden_dims is None else hidden_dims
@@ -395,7 +398,7 @@ def run_curriculum(
         if cfg.stage == STAGE_RKT:
             report = run_rkt(model, X, part, pl, cfg, seed)
         elif cfg.stage == STAGE_SMKE:
-            report = run_smke(model, X, part, pl, cfg, seed, tie_break=tie_break)
+            report = run_smke(model, X, part, pl, cfg, seed)
         else:
             report = run_mmr(model, X, part, pl, cfg, policy, seed)
         report.wall_time_s = time.perf_counter() - started

@@ -1,9 +1,8 @@
 """Feature datasets: file IO, synthetic benchmarks, simulated teachers.
 
-Two feature formats are supported: CSV (inspectable) and a little-endian
-binary layout (magic ``RCLF0001``, u64 N, u64 d, then N*d float32).
-Feature values are canonically float32, so a matrix written to CSV and
-to binary loads back identically from both.
+Features are stored as CSV (``sample_id,f0,...,f{d-1}[,label]``).
+Feature values are canonically float32, printed in shortest round-trip
+form, so a matrix written to CSV loads back exactly.
 
 True labels travel in a separate CSV column and exist only for
 evaluation: the training code receives bare feature arrays and never
@@ -12,7 +11,6 @@ sees them.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,11 +18,9 @@ import numpy as np
 
 from .consensus import PseudoLabelMatrix
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write_bytes, atomic_write_text, open_utf8, read_csv, write_csv
+from .fileio import atomic_write_text, open_utf8, read_csv, write_csv
 from .seeding import BLOBS, TEACHER_SIM, derive_rng
 from .text_match import ClassVocab
-
-FEATURES_MAGIC = b"RCLF0001"
 
 CONFUSION_UNIFORM = "uniform-error"
 CONFUSION_ADJACENT = "adjacent-class"
@@ -69,16 +65,6 @@ class FeatureDataset:
         return self.features.shape[1]
 
 
-def load_features(path: str | Path) -> FeatureDataset:
-    """Load a feature file, auto-detecting binary vs CSV by magic bytes."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(len(FEATURES_MAGIC))
-    if head == FEATURES_MAGIC:
-        return _load_features_binary(path)
-    return _load_features_csv(path)
-
-
 def _features_header(header: list[str]) -> list[str]:
     """The features header a file's header must equal; at least ``f0``."""
     has_label = header[-1:] == ["label"]
@@ -94,7 +80,8 @@ def _features_columns(header: list[str]) -> list[tuple[slice, type]]:
     return [features] + [(slice(-1, None), np.int64)] * has_label
 
 
-def _load_features_csv(path: Path) -> FeatureDataset:
+def load_features(path: str | Path) -> FeatureDataset:
+    """Load a feature CSV, with its label column when it has one."""
     table = read_csv(path, _features_header, _features_columns)
     features, *labels = table.arrays
     finite = np.isfinite(features).all(axis=1)
@@ -107,32 +94,11 @@ def _load_features_csv(path: Path) -> FeatureDataset:
     )
 
 
-def _load_features_binary(path: Path) -> FeatureDataset:
-    raw = path.read_bytes()
-    header_size = len(FEATURES_MAGIC) + 16
-    if len(raw) < header_size:
-        raise ParseError(f"{path}: truncated header")
-    n, dim = struct.unpack("<QQ", raw[len(FEATURES_MAGIC) : header_size])
-    if dim < 1:
-        raise ParseError(f"{path}: dimension must be >= 1")
-    expected = header_size + n * dim * 4
-    if len(raw) != expected:
-        raise ParseError(
-            f"{path}: declared {n}x{dim} needs {expected} bytes, file has {len(raw)}"
-        )
-    features = np.frombuffer(raw, dtype="<f4", offset=header_size).reshape(n, dim)
-    return FeatureDataset(sample_ids=_binary_ids(n), features=features.astype(np.float64))
-
-
-def _binary_ids(n: int) -> list[str]:
-    return [f"s{i:05d}" for i in range(n)]
-
-
 def save_features_csv(ds: FeatureDataset, path: str | Path) -> None:
     """Write features (and the label column when present) as CSV.
 
     Values are rounded to float32 and printed in shortest round-trip
-    form, so reloading reproduces the binary loader's matrix exactly.
+    form, so :func:`load_features` reproduces the float32 matrix exactly.
     """
     label_column = [] if ds.true_labels is None else [ds.true_labels.tolist()]
     header = ["sample_id"] + [f"f{j}" for j in range(ds.dim)] + ["label"] * len(label_column)
@@ -142,23 +108,6 @@ def save_features_csv(ds: FeatureDataset, path: str | Path) -> None:
     )
     rows = ([sid, *v, *label] for sid, v, *label in zip(ds.sample_ids, values, *label_column))
     write_csv(path, header, rows)
-
-
-def save_features_binary(ds: FeatureDataset, path: str | Path) -> None:
-    """Write the binary layout; ids and labels are not stored by design.
-
-    The loader names row i ``s{i:05d}``, so a dataset with any other ids
-    raises :class:`DataError` rather than reloading with rows relabelled.
-    """
-    if ds.sample_ids != _binary_ids(ds.n):
-        raise DataError(
-            f"{path}: the binary format stores no sample ids and needs "
-            f"s00000, s00001, ... in order; use the CSV format"
-        )
-    payload = bytearray(FEATURES_MAGIC)
-    payload += struct.pack("<QQ", ds.n, ds.dim)
-    payload += ds.features.astype("<f4").tobytes(order="C")
-    atomic_write_bytes(path, bytes(payload))
 
 
 def load_class_vocab(path: str | Path) -> ClassVocab:

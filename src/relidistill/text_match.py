@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .consensus import PseudoLabelMatrix
 from .errors import (
     ConfigError,
     DataError,
@@ -352,8 +353,6 @@ def label_records(
     label (un-embeddable text or absent record) is dropped under the
     ``drop`` policy or raises under ``error``.
     """
-    from .consensus import PseudoLabelMatrix
-
     if on_unlabeled not in ("drop", "error"):
         raise ConfigError(f"unknown on-unlabeled policy {on_unlabeled!r}")
     if not records:

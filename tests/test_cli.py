@@ -7,7 +7,7 @@ import pytest
 
 from relidistill.cli import main, parse_stage_configs
 from relidistill.curriculum import StageConfig
-from relidistill.student import load_checkpoint
+from relidistill.student import init_student, load_checkpoint, save_checkpoint
 
 SIM_SPEC = {
     "n_samples": 240,
@@ -312,14 +312,18 @@ class TestTrainEval:
         assert "RKT" in capsys.readouterr().err
         assert not (out_dir / "checkpoint_rkt.bin").exists()
 
-    def test_unknown_tie_break_exit_2_before_training(self, pipeline_dir, tmp_path):
+    def test_removed_mode_tie_break_key_exit_2(self, pipeline_dir, tmp_path, capsys):
+        # Mode ties are always broken by the seeded draw; the key that
+        # chose a policy is gone, and the strict reader names it.
         out_dir = tmp_path / "o"
         config = json.loads(write_run_config(tmp_path, pipeline_dir, out_dir).read_text())
-        config["mode_tie_break"] = "bogus"
+        config["mode_tie_break"] = "random"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
         assert main(["train", "--config", str(path)]) == 2
-        assert not (out_dir / "checkpoint_rkt.bin").exists()
+        assert "mode_tie_break" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_eval_with_labels_file(self, pipeline_dir, tmp_path):
         out_dir = tmp_path / "run_out"
@@ -354,12 +358,12 @@ class TestTrainEval:
         out_dir = tmp_path / "run_out"
         config = write_run_config(tmp_path, pipeline_dir, out_dir)
         assert main(["train", "--config", str(config)]) == 0
-        # binary features carry no label column
-        from relidistill import data as data_mod
-
-        ds = data_mod.load_features(pipeline_dir / "features.csv")
-        data_mod.save_features_binary(ds, tmp_path / "f.bin")
-        code = main(["eval", str(out_dir / "checkpoint_mmr.bin"), str(tmp_path / "f.bin")])
+        rows = (pipeline_dir / "features.csv").read_text(encoding="utf-8").splitlines()
+        stripped = tmp_path / "features_nolabel.csv"
+        stripped.write_text(
+            "".join(row.rsplit(",", 1)[0] + "\n" for row in rows), encoding="utf-8"
+        )
+        code = main(["eval", str(out_dir / "checkpoint_mmr.bin"), str(stripped)])
         assert code == 3
 
     def test_eval_zero_width_checkpoint_exit_3(self, pipeline_dir, tmp_path, capsys):
@@ -411,7 +415,9 @@ def edited(config: dict, path: tuple, value) -> dict:
 
 
 # (command, where to edit, bad value, what stderr must name); each of these
-# used to exit 0, except the float overflow, which crashed with exit 1.
+# used to exit 0, except the float overflow, which crashed with exit 1, and
+# the non-finite floats (JSON NaN and Infinity; 1e400 parses to inf too),
+# which exited 3 or 4, some after writing checkpoints.
 MISCONFIGURATIONS = [
     ("train", ("hidden_dims",), "16", "hidden_dims"),
     ("train", ("hiden_dims",), [16], "hiden_dims"),
@@ -422,10 +428,15 @@ MISCONFIGURATIONS = [
     ("train", ("stages", 0, "learning_rate"), "1e-3", "stages[0].learning_rate"),
     ("train", ("stages", 0, "learning_rate"), 10**400, "stages[0].learning_rate"),
     ("train", ("stages", 2, "tau"), True, "stages[2].tau"),
+    ("train", ("stages", 0, "learning_rate"), float("nan"), "stages[0].learning_rate"),
+    ("train", ("stages", 1, "learning_rate"), float("inf"), "stages[1].learning_rate"),
+    ("train", ("stages", 2, "lambda_cons"), float("nan"), "stages[2].lambda_cons"),
+    ("train", ("augment", "sigma_strong"), float("inf"), "augment.sigma_strong"),
     ("simulate", ("teachers", 0, "confussion"), "adjacent-class", "confussion"),
     ("simulate", ("class_names",), "abcd", "class_names"),
     ("simulate", ("n_samples",), 120.9, "n_samples"),
     ("simulate", ("teachers", 1, "seed"), 2.7, "teachers[1].seed"),
+    ("simulate", ("spread",), float("nan"), "spread"),
 ]
 
 MISCONFIGURATION_IDS = [
@@ -465,8 +476,19 @@ class TestStrictConfigs:
         assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["train", "simulate"])
-    def test_negative_seed_exit_2_creates_nothing(self, command, tmp_path, request, capsys):
+    @pytest.mark.parametrize(
+        "command, seed_flag",
+        [
+            ("train", []),
+            ("simulate", []),
+            ("train", ["--seed", "-2"]),
+            ("simulate", ["--seed", "-2"]),
+        ],
+        ids=["train", "simulate", "train-seed-flag", "simulate-seed-flag"],
+    )
+    def test_negative_seed_exit_2_creates_nothing(
+        self, command, seed_flag, tmp_path, request, capsys
+    ):
         out = tmp_path / "out"
         if command == "train":
             pipeline = request.getfixturevalue("pipeline_dir")
@@ -474,9 +496,10 @@ class TestStrictConfigs:
         else:
             config = SIM_SPEC
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(edited(config, ("seed",), -2)), encoding="utf-8")
+        seed = 5 if seed_flag else -2
+        bad.write_text(json.dumps(edited(config, ("seed",), seed)), encoding="utf-8")
         capsys.readouterr()
-        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert main([command, "--config", str(bad), "--out", str(out), *seed_flag]) == 2
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
@@ -516,10 +539,10 @@ class TestStrictConfigs:
         "path, value, code",
         [
             (("hidden_dims",), [0], 2),
-            (("mode_tie_break",), "bogus", 2),
+            (("mode_tie_break",), "random", 2),
             (("stages", 0, "learning_rate"), 1e200, 4),
         ],
-        ids=["zero-hidden-dim", "bogus-tie-break", "rkt-divergence"],
+        ids=["zero-hidden-dim", "removed-tie-break-key", "rkt-divergence"],
     )
     def test_train_failure_leaves_no_output_dir(self, pipeline_dir, tmp_path, path, value, code):
         out = tmp_path / "out"
@@ -563,3 +586,17 @@ class TestStrictConfigs:
         assert main(["train", "--config", str(path)]) == 0
         model = load_checkpoint(out / "checkpoint_mmr.bin")
         assert model.layer_dims == [SIM_SPEC["dim"], SIM_SPEC["n_classes"]]
+
+    def test_hidden_dims_disagreeing_with_warm_start_exit_2(self, pipeline_dir, tmp_path, capsys):
+        # This used to exit 0 and train the checkpoint's [8, 128, 4] shape.
+        warm = tmp_path / "warm.bin"
+        save_checkpoint(init_student([SIM_SPEC["dim"], 128, SIM_SPEC["n_classes"]], seed=1), warm)
+        out = tmp_path / "o"
+        config = json.loads(write_run_config(tmp_path, pipeline_dir, out).read_text())
+        config.update(hidden_dims=[7], warm_start_checkpoint=str(warm))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 2
+        assert "hidden_dims" in capsys.readouterr().err
+        assert not out.exists()

@@ -119,10 +119,10 @@ class TestPartition:
 
 class TestModeLabel:
     def test_strict_majority(self):
-        assert rd.mode_label([4, 4, 7], tie_break="lowest") == 4
+        assert rd.mode_label([4, 4, 7]) == 4
 
     def test_single_entry(self):
-        assert rd.mode_label([5], tie_break="lowest") == 5
+        assert rd.mode_label([5]) == 5
 
     def test_tie_seeded_and_in_tied_set(self):
         rng1 = derive_rng(42, MODE_TIE, 0)
@@ -132,8 +132,9 @@ class TestModeLabel:
         assert a == b
         assert a in (3, 7)
 
-    def test_lowest_policy(self):
-        assert rd.mode_label([9, 2, 2, 9], tie_break="lowest") == 2
+    def test_tie_without_rng_rejected(self):
+        with pytest.raises(ConfigError):
+            rd.mode_label([9, 2, 2, 9])
 
     def test_empty_row(self):
         with pytest.raises(InvalidRowError):
@@ -256,19 +257,11 @@ class TestMatrixCallsMatchRowOracles:
         label_matrices(),
         st.integers(0, 2**32 - 1),
         st.sampled_from([MODE_TIE, ENSEMBLE]),
-        st.sampled_from(["random", "lowest"]),
     )
-    def test_mode_labels(self, matrix, seed, purpose, tie_break):
+    def test_mode_labels(self, matrix, seed, purpose):
         expected = [
-            rd.mode_label(row, rng=derive_rng(seed, purpose, i), tie_break=tie_break)
+            rd.mode_label(row, rng=derive_rng(seed, purpose, i))
             for i, row in enumerate(matrix.labels)
         ]
-        got = rd.mode_labels(matrix, seed, tie_break=tie_break, purpose=purpose)
+        got = rd.mode_labels(matrix, seed, purpose=purpose)
         assert got.tolist() == expected
-
-    def test_unknown_tie_break_rejected_without_ties(self):
-        matrix = rd.PseudoLabelMatrix(["a", "b"], np.array([[1, 1], [2, 2]]), 3)
-        with pytest.raises(ConfigError):
-            rd.mode_labels(matrix, seed=0, tie_break="bogus")
-        with pytest.raises(ConfigError):
-            rd.mode_label([1, 1], tie_break="bogus")

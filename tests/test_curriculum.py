@@ -125,20 +125,20 @@ class TestSmkeLabel:
         # p = 0.8 at class 3, teachers voted [5, 5, 9]
         model, x = model_with_confidence(0.8, predicted=3, n_classes=10)
         row = np.array([5, 5, 9])
-        assert rd.smke_label(model, x, row, tau=0.7, tie_break="lowest") == 3
+        assert rd.smke_label(model, x, row, tau=0.7) == 3
 
     def test_low_confidence_defers_to_teachers(self):
         model, x = model_with_confidence(0.8, predicted=3, n_classes=10)
         row = np.array([5, 5, 9])
-        assert rd.smke_label(model, x, row, tau=0.9, tie_break="lowest") == 5
+        assert rd.smke_label(model, x, row, tau=0.9) == 5
 
     def test_tau_zero_always_student(self):
         model, x = model_with_confidence(0.4, predicted=2)
-        assert rd.smke_label(model, x, np.array([0, 0, 0]), tau=0.0, tie_break="lowest") == 2
+        assert rd.smke_label(model, x, np.array([0, 0, 0]), tau=0.0) == 2
 
     def test_tau_one_always_teachers(self):
         model, x = model_with_confidence(0.999, predicted=2)
-        assert rd.smke_label(model, x, np.array([0, 0, 1]), tau=1.0, tie_break="lowest") == 0
+        assert rd.smke_label(model, x, np.array([0, 0, 1]), tau=1.0) == 0
 
 
 class TestMmrRefine:
@@ -405,8 +405,13 @@ class TestRunCurriculum:
         path = tmp_path / "source.bin"
         rd.save_checkpoint(source, path)
         warm = rd.load_checkpoint(path)
-        model, run = rd.run_curriculum(ds, pl, self._configs(), seed=3, warm_start=warm)
+        model, run = rd.run_curriculum(
+            ds, pl, self._configs(), seed=3, hidden_dims=[16], warm_start=warm
+        )
         assert run.reports[-1].accuracy is not None
+        # hidden_dims used to be ignored next to a warm start.
+        with pytest.raises(ConfigError, match="hidden_dims"):
+            rd.run_curriculum(ds, pl, self._configs(), seed=3, hidden_dims=[7], warm_start=warm)
         bad = rd.init_student([ds.dim + 1, 16, 4], seed=41)
         with pytest.raises(ConfigError):
             rd.run_curriculum(ds, pl, self._configs(), seed=3, warm_start=bad)

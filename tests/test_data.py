@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 import relidistill as rd
-from relidistill.data import (
-    FEATURES_MAGIC,
-    load_labels_csv,
-    save_class_vocab,
-)
+from relidistill.data import load_labels_csv, save_class_vocab
 from relidistill.errors import ConfigError, DataError, ParseError
 from relidistill.student import init_optimizer, init_student, loss_and_grads, optimizer_step
 
@@ -25,38 +21,13 @@ class TestFeatureIO:
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.true_labels, ds.true_labels)
 
-    def test_binary_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        feats = rng.normal(size=(7, 3)).astype(np.float32).astype(np.float64)
-        ds = rd.FeatureDataset([f"s{i:05d}" for i in range(7)], feats)
-        path = tmp_path / "f.bin"
-        rd.save_features_binary(ds, path)
-        loaded = rd.load_features(path)
-        assert np.array_equal(loaded.features, feats)
-
-    @pytest.mark.parametrize("ids", [["s00001", "s00000"], ["a", "b"]])
-    def test_binary_refuses_ids_it_cannot_store(self, tmp_path, ids):
-        # Rows reload as s00000, s00001, ...; any other ids would come
-        # back silently relabelled, so nothing is written.
-        ds = rd.FeatureDataset(ids, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        with pytest.raises(DataError):
-            rd.save_features_binary(ds, tmp_path / "f.bin")
-        assert not list(tmp_path.iterdir())
-
-    def test_csv_and_binary_identical(self, tmp_path):
+    def test_blobs_csv_round_trip(self, tmp_path):
         ds = rd.make_blobs(40, 3, 5, 0.7, seed=4)
         rd.save_features_csv(ds, tmp_path / "f.csv")
-        rd.save_features_binary(ds, tmp_path / "f.bin")
-        a = rd.load_features(tmp_path / "f.csv")
-        b = rd.load_features(tmp_path / "f.bin")
-        assert np.array_equal(a.features, b.features)
-
-    def test_binary_size_mismatch(self, tmp_path):
-        path = tmp_path / "f.bin"
-        payload = FEATURES_MAGIC + np.array([3, 2], dtype="<u8").tobytes() + b"\0" * 8
-        path.write_bytes(payload)
-        with pytest.raises(ParseError):
-            rd.load_features(path)
+        loaded = rd.load_features(tmp_path / "f.csv")
+        assert loaded.sample_ids == ds.sample_ids
+        assert np.array_equal(loaded.features, ds.features)
+        assert np.array_equal(loaded.true_labels, ds.true_labels)
 
     def test_csv_bad_rows(self, tmp_path):
         path = tmp_path / "f.csv"
