@@ -27,7 +27,6 @@ from .curriculum import (
     run_mmr,
     run_rkt,
     run_smke,
-    smke_label,
 )
 from .data import (
     FeatureDataset,

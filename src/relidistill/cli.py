@@ -180,8 +180,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_label(args) -> int:
-    records = text_match.read_teacher_records(args.records)
     vocab = data.load_class_vocab(args.vocab)
+    records = text_match.read_teacher_records(args.records)
     matrix, summary = text_match.label_records(
         records, vocab, args.backend, on_unlabeled=args.on_unlabeled
     )
@@ -234,6 +234,10 @@ def cmd_train(args) -> int:
     matrix, dropped = consensus.drop_incomplete_rows(matrix)
     if dropped:
         print(f"excluded {len(dropped)} pseudo-label rows with unlabeled entries")
+    # An earlier run's outputs go before this run writes any, so a run
+    # that fails from here on never leaves a mixed set behind.
+    for name in (*curriculum.CHECKPOINT_NAMES.values(), "train_report.json", "timing.json"):
+        (out_dir / name).unlink(missing_ok=True)
 
     started = time.perf_counter()
     _, run = curriculum.run_curriculum(

@@ -29,7 +29,6 @@ from .consensus import (
     ReliabilityPartition,
     TAG_RELIABLE,
     TAG_UNRELIABLE,
-    mode_label,
     mode_labels,
     multi_hot_mask,
     multi_hot_masks,
@@ -56,6 +55,7 @@ STAGE_RKT = "RKT"
 STAGE_SMKE = "SMKE"
 STAGE_MMR = "MMR"
 STAGES = (STAGE_RKT, STAGE_SMKE, STAGE_MMR)
+CHECKPOINT_NAMES = {stage: f"checkpoint_{stage.lower()}.bin" for stage in STAGES}
 
 # Values a stage config read from JSON takes for the keys it omits.
 STAGE_DEFAULTS = {STAGE_SMKE: {"tau": 0.7}, STAGE_MMR: {"tau": 0.95, "lambda_cons": 0.5}}
@@ -170,19 +170,21 @@ def _train_stage(
     curve: list[tuple[int, float]] = []
     last_loss = float("nan")
     batches_per_epoch = math.ceil(pool.size / cfg.batch_size)
-    for iteration in range(cfg.max_iter):
-        start = (iteration % batches_per_epoch) * cfg.batch_size
-        if start == 0:
-            order = pool[shuffle_rng.permutation(pool.size)]
-        loss, grads = batch_loss(iteration, order[start : start + cfg.batch_size])
-        if not math.isfinite(loss):
-            raise StageError(
-                f"{cfg.stage}: training diverged at iteration {iteration} (loss {loss})"
-            )
-        if iteration % LOSS_SAMPLE_EVERY == 0:
-            curve.append((iteration, loss))
-        optimizer_step(model, optimizer, grads)
-        last_loss = loss
+    # Divergence overflows first; the loss and float32 checks report it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(cfg.max_iter):
+            start = (iteration % batches_per_epoch) * cfg.batch_size
+            if start == 0:
+                order = pool[shuffle_rng.permutation(pool.size)]
+            loss, grads = batch_loss(iteration, order[start : start + cfg.batch_size])
+            if not math.isfinite(loss):
+                raise StageError(
+                    f"{cfg.stage}: training diverged at iteration {iteration} (loss {loss})"
+                )
+            if iteration % LOSS_SAMPLE_EVERY == 0:
+                curve.append((iteration, loss))
+            optimizer_step(model, optimizer, grads)
+            last_loss = loss
     return TrainReport(
         stage=cfg.stage,
         iterations=cfg.max_iter,
@@ -197,23 +199,6 @@ def _smke_labels(probs: np.ndarray, teacher: np.ndarray, tau: float):
     ``tau``, else the teachers' label; returns (labels, student_flags)."""
     use_student = probs.max(axis=1) >= tau
     return np.where(use_student, probs.argmax(axis=1), teacher), use_student
-
-
-def smke_label(
-    model: StudentModel,
-    x: np.ndarray,
-    row: np.ndarray,
-    tau: float,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """The stage-2 label rule for one sample, from the current weights.
-
-    Returns the student's own prediction when its confidence reaches
-    ``tau``, otherwise the teachers' mode label.
-    """
-    teacher = mode_label(row, rng=rng)
-    labels, _ = _smke_labels(predict_proba(model, x), np.array([teacher]), tau)
-    return int(labels[0])
 
 
 def mmr_refine(
@@ -412,7 +397,7 @@ def run_curriculum(
         run.reports.append(report)
         if checkpoint_dir is not None:
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-            path = Path(checkpoint_dir) / f"checkpoint_{cfg.stage.lower()}.bin"
+            path = Path(checkpoint_dir) / CHECKPOINT_NAMES[cfg.stage]
             save_checkpoint(model, path)
             run.checkpoint_paths[cfg.stage] = str(path)
     return model, run

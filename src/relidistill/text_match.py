@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -250,8 +250,7 @@ class ClassVocab:
         return self._matrix
 
 
-@dataclass(frozen=True)
-class TeacherRecord:
+class TeacherRecord(NamedTuple):
     """One cached teacher response for one sample."""
 
     sample_id: str
@@ -259,14 +258,12 @@ class TeacherRecord:
     raw_text: str
 
 
-def read_teacher_records(path: str | Path) -> list[TeacherRecord]:
-    """Read JSON Lines records ``{"sample_id", "teacher", "text"}``.
+def read_teacher_records(path: str | Path) -> Iterator[TeacherRecord]:
+    """Yield JSON Lines records ``{"sample_id", "teacher", "text"}`` as read.
 
-    ``sample_id`` and ``text`` are JSON strings, ``teacher`` a non-negative
-    JSON integer, and (sample_id, teacher) pairs are unique in the file.
+    ``sample_id`` and ``text`` are JSON strings and ``teacher`` a non-negative
+    JSON integer, or the line raises :class:`ParseError` naming ``path:line``.
     """
-    records: list[TeacherRecord] = []
-    seen: set[tuple[str, int]] = set()
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -296,12 +293,7 @@ def read_teacher_records(path: str | Path) -> list[TeacherRecord]:
             # A bool is an int to Python but not a JSON integer.
             if type(teacher_id) is not int or teacher_id < 0:
                 raise ParseError(f"{path}:{lineno}: teacher must be a non-negative integer")
-            key = (sample_id, teacher_id)
-            if key in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate record for {key}")
-            seen.add(key)
-            records.append(TeacherRecord(sample_id, teacher_id, text))
-    return records
+            yield TeacherRecord(sample_id, teacher_id, text)
 
 
 def assign_pseudo_label(record: TeacherRecord, vocab: ClassVocab, backend: Embedder) -> int:
@@ -339,56 +331,66 @@ class LabelingSummary:
 
 
 def label_records(
-    records: list[TeacherRecord],
+    records: Iterable[TeacherRecord],
     vocab: ClassVocab,
     backend: Embedder,
     on_unlabeled: str = "drop",
 ):
-    """Convert an ingestion batch into a pseudo-label matrix.
+    """Convert any iterable of records into a pseudo-label matrix, in one pass.
 
     Samples keep their first-appearance order, so output never depends
     on how the work is scheduled. Each distinct raw text is labeled once
     by :func:`assign_pseudo_label`, which depends on nothing else in the
-    record. Teacher ids must cover 0..M-1. A sample missing any teacher's
-    label (un-embeddable text or absent record) is dropped under the
-    ``drop`` policy or raises under ``error``.
+    record. Teacher ids must cover 0..M-1 and each (sample, teacher) pair
+    appears once. A sample missing any teacher's label (un-embeddable
+    text or absent record) is dropped under the ``drop`` policy or raises
+    under ``error``.
     """
     if on_unlabeled not in ("drop", "error"):
         raise ConfigError(f"unknown on-unlabeled policy {on_unlabeled!r}")
-    if not records:
-        raise DataError("no teacher records to label")
-
-    teacher_ids = sorted({r.teacher_id for r in records})
-    n_teachers = len(teacher_ids)
-    if teacher_ids != list(range(n_teachers)):
-        raise DataError(f"teacher ids must cover 0..M-1, got {teacher_ids}")
-    if n_teachers < 2:
-        raise ConfigError("need at least 2 teachers")
-
-    row_of: dict[str, int] = {}
-    for record in records:
-        row_of.setdefault(record.sample_id, len(row_of))
-    sample_order = list(row_of)
 
     # Built up front, so a class name the backend cannot embed fails the
     # batch even when every answer matches a name verbatim.
     vocab.class_matrix(backend)
+    row_of: dict[str, int] = {}
     label_of: dict[str, int] = {}  # raw text -> class, -1 when unlabelable
-    labels = np.full((len(sample_order), n_teachers), -1, dtype=np.int64)
+    rows, teachers, cell_labels = [], [], []  # one entry per record
     for record in records:
-        label = label_of.get(record.raw_text)
+        sample_id, teacher_id, text = record
+        label = label_of.get(text)
         if label is None:
             try:
                 label = assign_pseudo_label(record, vocab, backend)
             except UnlabeledSampleError:
                 label = -1
-            label_of[record.raw_text] = label
+            label_of[text] = label
         if label < 0 and on_unlabeled == "error":
             raise UnlabeledSampleError(
-                f"sample {record.sample_id!r}, teacher {record.teacher_id}: "
-                f"text {record.raw_text!r} could not be labeled"
+                f"sample {sample_id!r}, teacher {teacher_id}: text {text!r} could not be labeled"
             )
-        labels[row_of[record.sample_id], record.teacher_id] = label
+        rows.append(row_of.setdefault(sample_id, len(row_of)))
+        teachers.append(teacher_id)
+        cell_labels.append(label)
+
+    if not rows:
+        raise DataError("no teacher records to label")
+    # Checked on the Python ints: an id such as 10**29 is legal JSON.
+    teacher_ids = sorted(set(teachers))
+    n_teachers = len(teacher_ids)
+    if teacher_ids != list(range(n_teachers)):
+        raise DataError(f"teacher ids must cover 0..M-1, got {teacher_ids}")
+    if n_teachers < 2:
+        raise ConfigError("need at least 2 teachers")
+    sample_order = list(row_of)
+    cells = np.array(rows, dtype=np.int64) * n_teachers + np.array(teachers, dtype=np.int64)
+    _, first = np.unique(cells, return_index=True)
+    if first.size < cells.size:
+        i = np.setdiff1d(np.arange(cells.size), first)[0]  # the first repeat
+        raise DataError(
+            f"duplicate record for sample {sample_order[rows[i]]!r}, teacher {teachers[i]}"
+        )
+    labels = np.full((len(sample_order), n_teachers), -1, dtype=np.int64)
+    labels.flat[cells] = cell_labels
 
     complete = np.all(labels >= 0, axis=1)
     if on_unlabeled == "error" and not np.all(complete):

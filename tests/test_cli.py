@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relidistill.cli import main, parse_stage_configs
 from relidistill.curriculum import StageConfig
@@ -162,6 +167,25 @@ class TestLabel:
         assert main(["label", str(records), str(vocab), "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_duplicate_pair_exit_3(self, tmp_path, capsys):
+        # The reader rejected this with path:line; label_records now rejects
+        # a repeated pair from any source, naming the sample and teacher.
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("car\nbus\n", encoding="utf-8")
+        records = tmp_path / "t.jsonl"
+        records.write_text(
+            "".join(
+                json.dumps({"sample_id": "s0", "teacher": t, "text": text}) + "\n"
+                for t, text in [(0, "car"), (1, "car"), (0, "bus")]
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "pl.csv"
+        assert main(["label", str(records), str(vocab), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: duplicate record for sample 's0', teacher 0")
+        assert not out.exists()
+
     @pytest.mark.parametrize("sample_id, text", [(1, "car"), (None, "car"), ("s1", None)])
     def test_non_string_sample_id_or_text_exit_3(self, tmp_path, capsys, sample_id, text):
         # These used to go through str() and exit 0 with wrong rows.
@@ -224,6 +248,54 @@ class TestLabel:
             ]
         )
         assert code == 3
+
+
+# A valid teachers file: verbatim, free-text, unmatchable and escaped
+# answers, so mutations reach every reader and labeling branch.
+FUZZ_VOCAB = "car\nbicycle\nkettle\n"
+FUZZ_RECORDS = "".join(
+    json.dumps({"sample_id": sid, "teacher": t, "text": text}) + "\n"
+    for sid, t, text in [
+        ("s0", 0, "car"), ("s0", 1, "a red car"), ("s1", 0, "Kettle."),
+        ("s1", 1, "caf\u00e9 bike"), ("s2", 1, "?!"), ("s2", 0, "bicycle"),
+    ]
+).encode("utf-8")
+
+
+@st.composite
+def mutated_bytes(draw, data: bytes) -> bytes:
+    """``data`` with a few bytes flipped, inserted or deleted, maybe truncated."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("flip", "insert", "delete")))
+        pos = draw(st.integers(0, max(len(out) - 1, 0)))
+        if op == "insert":
+            out.insert(pos, draw(st.integers(0, 255)))
+        elif op == "flip" and out:
+            out[pos] ^= 1 << draw(st.integers(0, 7))
+        elif op == "delete" and out:
+            del out[pos]
+    if draw(st.booleans()):
+        del out[draw(st.integers(0, len(out))):]
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_RECORDS))
+def test_label_fuzzed_teacher_records_exit_cleanly(records_bytes):
+    # Every damaged teachers file either labels or fails with an exit code
+    # and an error line, never a traceback, and a failure writes no pl.csv.
+    with tempfile.TemporaryDirectory() as tmp:
+        vocab, records, out = (Path(tmp) / name for name in ("v.txt", "t.jsonl", "pl.csv"))
+        vocab.write_text(FUZZ_VOCAB, encoding="utf-8")
+        records.write_bytes(records_bytes)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["label", str(records), str(vocab), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert err.getvalue().startswith("error:")
+            assert not out.exists()
 
 
 class TestPartition:
@@ -300,8 +372,6 @@ class TestTrainEval:
         assert f"{features}:6:" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergent_training_exit_4(self, pipeline_dir, tmp_path, capsys):
         out_dir = tmp_path / "o"
         config = json.loads(write_run_config(tmp_path, pipeline_dir, out_dir).read_text())
@@ -309,8 +379,41 @@ class TestTrainEval:
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 4
-        assert "RKT" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "RKT" in err
+        assert "Warning" not in err
         assert not (out_dir / "checkpoint_rkt.bin").exists()
+
+    def test_failed_rerun_leaves_no_earlier_outputs(self, pipeline_dir, tmp_path, capsys):
+        # A diverging rerun used to leave its own RKT and SMKE checkpoints
+        # beside the first run's MMR checkpoint, timing.json and a
+        # train_report.json that named the first run's seed.
+        out_dir = tmp_path / "o"
+        path = write_run_config(tmp_path, pipeline_dir, out_dir)
+        assert main(["train", "--config", str(path)]) == 0
+        config = json.loads(path.read_text())
+        config["stages"][2]["learning_rate"] = 1e300
+        path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--seed", "4"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: MMR: training diverged")
+        assert "Warning" not in err
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "checkpoint_rkt.bin", "checkpoint_smke.bin"
+        ]
+
+    def test_rerun_warm_started_from_its_own_output(self, pipeline_dir, tmp_path):
+        # The earlier outputs are removed only after the inputs are read,
+        # so a warm start may come from the directory the run writes to.
+        out_dir = tmp_path / "o"
+        path = write_run_config(tmp_path, pipeline_dir, out_dir)
+        assert main(["train", "--config", str(path)]) == 0
+        config = json.loads(path.read_text())
+        config["warm_start_checkpoint"] = str(out_dir / "checkpoint_mmr.bin")
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 0
+        assert len(list(out_dir.iterdir())) == 5
 
     def test_removed_mode_tie_break_key_exit_2(self, pipeline_dir, tmp_path, capsys):
         # Mode ties are always broken by the seeded draw; the key that
@@ -533,8 +636,6 @@ class TestStrictConfigs:
         assert not out.exists()
 
     # Each of these used to leave an empty output directory behind.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "path, value, code",
         [
@@ -544,12 +645,16 @@ class TestStrictConfigs:
         ],
         ids=["zero-hidden-dim", "removed-tie-break-key", "rkt-divergence"],
     )
-    def test_train_failure_leaves_no_output_dir(self, pipeline_dir, tmp_path, path, value, code):
+    def test_train_failure_leaves_no_output_dir(
+        self, pipeline_dir, tmp_path, capsys, path, value, code
+    ):
         out = tmp_path / "out"
         config = json.loads(write_run_config(tmp_path, pipeline_dir, out).read_text())
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(edited(config, path, value)), encoding="utf-8")
+        capsys.readouterr()
         assert main(["train", "--config", str(bad)]) == code
+        assert "Warning" not in capsys.readouterr().err
         assert not out.exists()
 
     def test_well_typed_values_keep_their_meaning(self):

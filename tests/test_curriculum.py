@@ -10,13 +10,14 @@ from relidistill.consensus import TAG_LESS_RELIABLE, TAG_RELIABLE, partition
 from relidistill.curriculum import (
     DEFAULT_LAMBDA_CONS,
     _refine_batch,
+    _smke_labels,
     run_mmr,
     run_rkt,
     run_smke,
     validate_stage_configs,
 )
 from relidistill.errors import ConfigError, StageError
-from relidistill.student import init_optimizer, loss_and_grads, optimizer_step
+from relidistill.student import init_optimizer, loss_and_grads, optimizer_step, predict_proba
 
 
 def model_with_confidence(p_max: float, predicted: int, n_classes: int = 3):
@@ -120,25 +121,29 @@ class TestStageConfig:
             )
 
 
+def smke_rule(model, x, teacher: int, tau: float) -> int:
+    """The stage-2 rule for one sample, as ``run_smke`` applies it to a batch."""
+    labels, _ = _smke_labels(predict_proba(model, x), np.array([teacher]), tau)
+    return int(labels[0])
+
+
 class TestSmkeLabel:
     def test_confident_student_wins(self):
-        # p = 0.8 at class 3, teachers voted [5, 5, 9]
+        # p = 0.8 at class 3, teachers' mode 5
         model, x = model_with_confidence(0.8, predicted=3, n_classes=10)
-        row = np.array([5, 5, 9])
-        assert rd.smke_label(model, x, row, tau=0.7) == 3
+        assert smke_rule(model, x, teacher=5, tau=0.7) == 3
 
     def test_low_confidence_defers_to_teachers(self):
         model, x = model_with_confidence(0.8, predicted=3, n_classes=10)
-        row = np.array([5, 5, 9])
-        assert rd.smke_label(model, x, row, tau=0.9) == 5
+        assert smke_rule(model, x, teacher=5, tau=0.9) == 5
 
     def test_tau_zero_always_student(self):
         model, x = model_with_confidence(0.4, predicted=2)
-        assert rd.smke_label(model, x, np.array([0, 0, 0]), tau=0.0) == 2
+        assert smke_rule(model, x, teacher=0, tau=0.0) == 2
 
     def test_tau_one_always_teachers(self):
         model, x = model_with_confidence(0.999, predicted=2)
-        assert rd.smke_label(model, x, np.array([0, 0, 1]), tau=1.0) == 0
+        assert smke_rule(model, x, teacher=0, tau=1.0) == 0
 
 
 class TestMmrRefine:

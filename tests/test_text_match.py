@@ -350,19 +350,30 @@ class TestTeacherRecordsIO:
             '{"sample_id": "s0", "teacher": 1, "text": "bus"}\n',
             encoding="utf-8",
         )
-        records = rd.read_teacher_records(path)
+        records = list(rd.read_teacher_records(path))
         assert len(records) == 2
         assert records[0] == rd.TeacherRecord("s0", 0, "car")
 
-    def test_duplicate_pair_rejected(self, tmp_path):
+    def test_records_are_yielded_as_read(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text(
-            '{"sample_id": "s0", "teacher": 0, "text": "car"}\n'
-            '{"sample_id": "s0", "teacher": 0, "text": "bus"}\n',
-            encoding="utf-8",
-        )
-        with pytest.raises(ParseError):
-            rd.read_teacher_records(path)
+        path.write_text('{"sample_id": "s0", "teacher": 0, "text": "car"}\n{oops\n',
+                        encoding="utf-8")
+        records = rd.read_teacher_records(path)
+        assert next(records) == rd.TeacherRecord("s0", 0, "car")
+        with pytest.raises(ParseError, match=":2:"):
+            next(records)
+
+    def test_duplicate_pair_rejected(self):
+        # Only the file reader used to check this: in a hand-built list
+        # the last record for a pair silently won. The first repeat in
+        # input order is named, not the first repeated cell.
+        records = [
+            rd.TeacherRecord(sid, t, text)
+            for sid, t, text in [("s0", 0, "car"), ("s1", 0, "car"), ("s1", 1, "bus"),
+                                 ("s1", 0, "bus"), ("s0", 0, "bus"), ("s0", 1, "car")]
+        ]
+        with pytest.raises(DataError, match="duplicate record for sample 's1', teacher 0"):
+            rd.label_records(records, rd.ClassVocab(["car", "bus"]), rd.TrigramEmbedder())
 
     @pytest.mark.parametrize("teacher", ["1.7", "true", '"1"', "-1"])
     def test_teacher_must_be_non_negative_json_integer(self, tmp_path, teacher):
@@ -373,7 +384,7 @@ class TestTeacherRecordsIO:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match=":2:"):
-            rd.read_teacher_records(path)
+            list(rd.read_teacher_records(path))
 
     @pytest.mark.parametrize(
         "record",
@@ -393,7 +404,7 @@ class TestTeacherRecordsIO:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match=":2: sample_id and text must be strings"):
-            rd.read_teacher_records(path)
+            list(rd.read_teacher_records(path))
 
     @pytest.mark.parametrize("field", ["sample_id", "text"])
     def test_lone_surrogate_rejected(self, tmp_path, field):
@@ -406,19 +417,20 @@ class TestTeacherRecordsIO:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match=":2: sample_id or text holds a lone surrogate"):
-            rd.read_teacher_records(path)
+            list(rd.read_teacher_records(path))
 
     def test_escaped_text_kept(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"sample_id": "s\\u00e9", "teacher": 0, "text": "\\ud83d\\ude00"}\n',
                         encoding="utf-8")
-        assert rd.read_teacher_records(path) == [rd.TeacherRecord("s\u00e9", 0, "\U0001f600")]
+        records = list(rd.read_teacher_records(path))
+        assert records == [rd.TeacherRecord("s\u00e9", 0, "\U0001f600")]
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text("{oops\n", encoding="utf-8")
         with pytest.raises(ParseError):
-            rd.read_teacher_records(path)
+            list(rd.read_teacher_records(path))
 
 
 class TestLabelRecords:
