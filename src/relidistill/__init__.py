@@ -10,7 +10,6 @@ from .consensus import (
     PseudoLabelMatrix,
     ReliabilityPartition,
     agreement_count,
-    drop_incomplete_rows,
     mode_label,
     mode_labels,
     multi_hot_mask,

@@ -202,9 +202,6 @@ def cmd_label(args) -> int:
 
 def cmd_partition(args) -> int:
     matrix = consensus.read_matrix_csv(args.pseudo_labels)
-    matrix, dropped = consensus.drop_incomplete_rows(matrix)
-    if dropped:
-        print(f"excluded {len(dropped)} rows with unlabeled entries")
     part = consensus.partition(matrix)
     consensus.write_partition_csv(part, matrix.sample_ids, args.out)
     counts = part.counts()
@@ -231,9 +228,6 @@ def cmd_train(args) -> int:
     vocab = data.load_class_vocab(paths["vocab"])
     matrix = consensus.read_matrix_csv(paths["pseudo_labels"], n_classes=len(vocab))
     warm_model = student.load_checkpoint(warm) if warm is not None else None
-    matrix, dropped = consensus.drop_incomplete_rows(matrix)
-    if dropped:
-        print(f"excluded {len(dropped)} pseudo-label rows with unlabeled entries")
     # An earlier run's outputs go before this run writes any, so a run
     # that fails from here on never leaves a mixed set behind.
     for name in (*curriculum.CHECKPOINT_NAMES.values(), "train_report.json", "timing.json"):

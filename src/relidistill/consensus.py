@@ -27,9 +27,9 @@ TAGS = (TAG_RELIABLE, TAG_LESS_RELIABLE, TAG_UNRELIABLE)
 class PseudoLabelMatrix:
     """N x M matrix of per-teacher class assignments.
 
-    Entries are class indices in 0..C-1, or -1 where a teacher produced
-    no usable label. Rows with -1 must be removed (``drop_incomplete_rows``)
-    before reliability is computed.
+    Entries are class indices in 0..C-1: every teacher labeled every
+    sample. A sample whose answer could not be labeled is dropped or
+    rejected by ``text_match.label_records`` and never reaches a matrix.
     """
 
     sample_ids: list[str]
@@ -47,9 +47,9 @@ class PseudoLabelMatrix:
         if self.n_classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.labels.size and (
-            self.labels.min() < -1 or self.labels.max() >= self.n_classes
+            self.labels.min() < 0 or self.labels.max() >= self.n_classes
         ):
-            raise DataError("labels must lie in -1..C-1")
+            raise DataError("labels must lie in 0..C-1")
 
     @property
     def n(self) -> int:
@@ -77,11 +77,11 @@ class ReliabilityPartition:
 
 
 def _check_rows(labels: np.ndarray) -> np.ndarray:
-    """An (N, M) label matrix whose rows are non-empty and fully labeled."""
+    """An (N, M) label matrix whose rows are non-empty and hold no negative label."""
     if labels.shape[1] == 0:
         raise InvalidRowError("empty label row")
     if np.any(labels < 0):
-        raise InvalidRowError("row contains unlabeled (-1) entries")
+        raise InvalidRowError("row contains a negative label")
     return labels
 
 
@@ -92,9 +92,8 @@ def _check_row(row) -> np.ndarray:
 def _class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """(N, C) array: how many teachers gave each row each class.
 
-    Labels below C are a PseudoLabelMatrix invariant; -1 entries raise.
+    Labels in 0..C-1 are a PseudoLabelMatrix invariant.
     """
-    labels = _check_rows(labels)
     offsets = n_classes * np.arange(labels.shape[0])[:, None]
     flat = np.bincount((labels + offsets).ravel(), minlength=labels.shape[0] * n_classes)
     return flat.reshape(labels.shape[0], n_classes)
@@ -182,21 +181,6 @@ def multi_hot_masks(matrix: PseudoLabelMatrix) -> np.ndarray:
     return _class_counts(matrix.labels, matrix.n_classes) > 0
 
 
-def drop_incomplete_rows(matrix: PseudoLabelMatrix) -> tuple[PseudoLabelMatrix, list[str]]:
-    """Remove rows containing -1; returns (filtered matrix, dropped ids)."""
-    complete = np.all(matrix.labels >= 0, axis=1)
-    dropped = [matrix.sample_ids[i] for i in np.flatnonzero(~complete)]
-    if not dropped:
-        return matrix, []
-    kept = np.flatnonzero(complete)
-    filtered = PseudoLabelMatrix(
-        sample_ids=[matrix.sample_ids[i] for i in kept],
-        labels=matrix.labels[kept],
-        n_classes=matrix.n_classes,
-    )
-    return filtered, dropped
-
-
 def _matrix_header(m: int) -> list[str]:
     return ["sample_id"] + [f"teacher_{t}" for t in range(m)]
 
@@ -208,15 +192,19 @@ def write_matrix_csv(matrix: PseudoLabelMatrix, path: str | Path) -> None:
 
 
 def read_matrix_csv(path: str | Path, n_classes: int | None = None) -> PseudoLabelMatrix:
-    """Read a pseudo-label CSV; infers C = max label + 1 when not given."""
+    """Read a pseudo-label CSV; infers C = max label + 1 when not given.
+
+    A label outside 0..C-1 (such as -1) raises :class:`ParseError`
+    naming the first row that holds one."""
     table = read_csv(
-        path,
-        lambda header: _matrix_header(len(header) - 1),
-        lambda header: [(slice(1, None), np.int64)],
+        path, lambda header: (_matrix_header(len(header) - 1), [(slice(1, None), np.int64)])
     )
     (labels,) = table.arrays
     if n_classes is None:
         n_classes = max(2, int(labels.max()) + 1 if labels.size else 2)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        i = int(np.argmax(((labels < 0) | (labels >= n_classes)).any(axis=1)))
+        raise table.error(i, f"labels must lie in 0..{n_classes - 1}, got {labels[i].tolist()}")
     return PseudoLabelMatrix(sample_ids=table.sample_ids, labels=labels, n_classes=n_classes)
 
 

@@ -65,24 +65,20 @@ class FeatureDataset:
         return self.features.shape[1]
 
 
-def _features_header(header: list[str]) -> list[str]:
-    """The features header a file's header must equal; at least ``f0``."""
+def _features_layout(header: list[str]) -> tuple[list[str], list[tuple[slice, type]]]:
+    """The features header a file's header must equal (at least ``f0``),
+    and its columns: the features, parsed through float32 (the canonical
+    on-disk precision), then the label column when there is one."""
     has_label = header[-1:] == ["label"]
     dim = max(1, len(header) - 1 - has_label)
-    return ["sample_id"] + [f"f{j}" for j in range(dim)] + ["label"] * has_label
-
-
-def _features_columns(header: list[str]) -> list[tuple[slice, type]]:
-    """The feature columns, parsed through float32 (the canonical on-disk
-    precision), then the label column when there is one."""
-    has_label = header[-1] == "label"
-    features = (slice(1, len(header) - has_label), np.float32)
-    return [features] + [(slice(-1, None), np.int64)] * has_label
+    expected = ["sample_id"] + [f"f{j}" for j in range(dim)] + ["label"] * has_label
+    columns = [(slice(1, 1 + dim), np.float32)] + [(slice(-1, None), np.int64)] * has_label
+    return expected, columns
 
 
 def load_features(path: str | Path) -> FeatureDataset:
     """Load a feature CSV, with its label column when it has one."""
-    table = read_csv(path, _features_header, _features_columns)
+    table = read_csv(path, _features_layout)
     features, *labels = table.arrays
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
@@ -128,9 +124,7 @@ def save_class_vocab(vocab: ClassVocab, path: str | Path) -> None:
 
 def load_labels_csv(path: str | Path) -> dict[str, int]:
     """Read a ``sample_id,label`` CSV into a dict; ids must be unique."""
-    table = read_csv(
-        path, lambda header: ["sample_id", "label"], lambda header: [(slice(1, 2), np.int64)]
-    )
+    table = read_csv(path, lambda header: (["sample_id", "label"], [(slice(1, 2), np.int64)]))
     return dict(zip(table.sample_ids, table.arrays[0][:, 0].tolist()))
 
 

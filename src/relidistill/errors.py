@@ -38,7 +38,7 @@ class UnlabeledSampleError(DataError):
 
 
 class InvalidRowError(DataError):
-    """A pseudo-label row is empty or contains unlabeled (-1) entries."""
+    """A pseudo-label row is empty or contains a negative label."""
 
 
 class StageError(RelidistillError):

@@ -127,24 +127,23 @@ class CsvTable:
 
 def read_csv(
     path: str | Path,
-    expected_header: Callable[[list[str]], list[str]],
-    columns: Callable[[list[str]], Sequence[tuple[slice, type]]],
+    layout: Callable[[list[str]], tuple[list[str], Sequence[tuple[slice, type]]]],
 ) -> CsvTable:
     """Read the CSV file at ``path``, parsing its rows in blocks as it goes.
 
-    ``expected_header`` maps the file's header to the one its format
-    requires; ``columns`` maps it to the (slice, dtype) pairs to parse, one
-    array each. A repeated sample id raises naming its second line."""
+    ``layout`` maps the file's header to the header its format requires
+    and the (slice, dtype) pairs to parse, one array each; it must accept
+    any header, since the file's is compared only afterwards. A repeated
+    sample id raises naming its second line."""
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise ParseError(f"{path}: empty file")
-            expected = expected_header(header)
+            expected, specs = layout(header)
             if header != expected:
                 raise ParseError(f"{path}: malformed header {header}, expected {expected}")
-            specs = columns(header)
             arrays = [np.empty((0, len(header[cols])), dtype) for cols, dtype in specs]
             table = CsvTable(str(path), header, [], arrays, np.empty(0, np.int64))
             seen: set[str] = set()

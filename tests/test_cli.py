@@ -298,7 +298,46 @@ def test_label_fuzzed_teacher_records_exit_cleanly(records_bytes):
             assert not out.exists()
 
 
+# A valid pl.csv; its quoted id lets mutations reach the CSV quoting rules.
+FUZZ_PSEUDO_LABELS = (
+    b'sample_id,teacher_0,teacher_1,teacher_2\ns0,1,1,1\n"s,1",0,2,1\ns2,2,0,0\ns3,0,1,2\n'
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_PSEUDO_LABELS))
+def test_partition_fuzzed_pseudo_labels_exit_cleanly(pl_bytes):
+    # Every damaged pl.csv either partitions or fails with an exit code and
+    # an error line, never a traceback, and a failure writes no --out file.
+    with tempfile.TemporaryDirectory() as tmp:
+        pl, out = Path(tmp) / "pl.csv", Path(tmp) / "part.csv"
+        pl.write_bytes(pl_bytes)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["partition", str(pl), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert err.getvalue().startswith("error:")
+            assert not out.exists()
+
+
+def set_label(pl_csv: Path, line: int, value: str) -> None:
+    """Overwrite the last label on ``line`` of a pseudo-label CSV."""
+    lines = pl_csv.read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + "," + value
+    pl_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestPartition:
+    def test_unlabeled_entry_exit_3_writes_nothing(self, tmp_path, capsys):
+        # -1 is not a label, and partition excludes no rows.
+        pl = tmp_path / "pl.csv"
+        pl.write_text("sample_id,teacher_0,teacher_1\na,1,1\nb,0,-1\n", encoding="utf-8")
+        out = tmp_path / "part.csv"
+        assert main(["partition", str(pl), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {pl}:3: ")
+        assert not out.exists()
+
     def test_partition_csv(self, tmp_path):
         pl = tmp_path / "pl.csv"
         pl.write_text(
@@ -371,6 +410,31 @@ class TestTrainEval:
         assert main(["train", "--config", str(config)]) == 3
         assert f"{features}:6:" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_class_beyond_vocab_exit_3(self, pipeline_dir, tmp_path, capsys):
+        # train checks labels against the vocabulary, not the largest label.
+        pl_csv = pipeline_dir / "pl.csv"
+        set_label(pl_csv, 4, str(SIM_SPEC["n_classes"]))
+        out_dir = tmp_path / "o"
+        config = write_run_config(tmp_path, pipeline_dir, out_dir)
+        assert main(["train", "--config", str(config)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {pl_csv}:4: labels must lie in 0..3")
+        assert not out_dir.exists()
+
+    def test_failed_input_read_leaves_earlier_outputs(self, pipeline_dir, tmp_path, capsys):
+        # A run that fails while reading its inputs changes nothing in
+        # output_dir: the earlier run's five files keep their bytes.
+        out_dir = tmp_path / "o"
+        config = write_run_config(tmp_path, pipeline_dir, out_dir)
+        assert main(["train", "--config", str(config)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(before) == 5
+        pl_csv = pipeline_dir / "pl.csv"
+        set_label(pl_csv, 3, "-1")
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {pl_csv}:3: ")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_divergent_training_exit_4(self, pipeline_dir, tmp_path, capsys):
         out_dir = tmp_path / "o"

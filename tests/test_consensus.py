@@ -111,11 +111,6 @@ class TestPartition:
         assert np.array_equal(a.tags, b.tags)
         assert np.array_equal(a.scores, b.scores)
 
-    def test_propagates_invalid_row(self):
-        matrix = rd.PseudoLabelMatrix(["a"], np.array([[1, -1, 2]]), 4)
-        with pytest.raises(InvalidRowError):
-            rd.partition(matrix)
-
 
 class TestModeLabel:
     def test_strict_majority(self):
@@ -181,12 +176,10 @@ class TestMultiHotMask:
 
 
 class TestMatrixPlumbing:
-    def test_drop_incomplete_rows(self):
-        labels = np.array([[1, 2], [1, -1], [0, 0]])
-        matrix = rd.PseudoLabelMatrix(["a", "b", "c"], labels, 3)
-        filtered, dropped = rd.drop_incomplete_rows(matrix)
-        assert dropped == ["b"]
-        assert filtered.sample_ids == ["a", "c"]
+    def test_unlabeled_entry_rejected_at_construction(self):
+        # Every teacher labeled every sample: a matrix cannot hold -1.
+        with pytest.raises(DataError, match=r"0\.\.C-1"):
+            rd.PseudoLabelMatrix(["a"], np.array([[1, -1, 2]]), 4)
 
     def test_matrix_validation(self):
         with pytest.raises(ConfigError):
@@ -197,7 +190,7 @@ class TestMatrixPlumbing:
             rd.PseudoLabelMatrix(["a", "a"], np.array([[1, 2], [0, 1]]), 3)
 
     def test_matrix_csv_round_trip(self, tmp_path):
-        labels = np.array([[1, 2, 0], [0, 0, -1]])
+        labels = np.array([[1, 2, 0], [0, 0, 2]])
         matrix = rd.PseudoLabelMatrix(["s0", "s1"], labels, 3)
         path = tmp_path / "pl.csv"
         write_matrix_csv(matrix, path)
@@ -205,6 +198,10 @@ class TestMatrixPlumbing:
         assert loaded.sample_ids == matrix.sample_ids
         assert np.array_equal(loaded.labels, matrix.labels)
         assert path.read_text().splitlines()[0] == "sample_id,teacher_0,teacher_1,teacher_2"
+        # -1 is not part of the format: the read names the row's line.
+        path.write_text(path.read_text().replace("0,0,2", "0,0,-1"), encoding="utf-8")
+        with pytest.raises(ParseError, match=r":3: labels must lie in 0\.\.2, got \[0, 0, -1\]"):
+            read_matrix_csv(path, n_classes=3)
 
     def test_matrix_csv_bad_header(self, tmp_path):
         path = tmp_path / "pl.csv"

@@ -198,7 +198,7 @@ def pseudo_label_matrices(draw):
     ids = draw(SAMPLE_IDS)
     n_classes = draw(st.integers(2, 5))
     shape = (len(ids), draw(st.integers(2, 4)))
-    labels = draw(arrays(np.int64, shape, elements=st.integers(-1, n_classes - 1)))
+    labels = draw(arrays(np.int64, shape, elements=st.integers(0, n_classes - 1)))
     return rd.PseudoLabelMatrix(ids, labels, n_classes)
 
 
@@ -282,7 +282,7 @@ def block_edge_csvs(draw):
     if reader == "pseudo_labels":
         m = draw(st.integers(2, 3))
         header = ["sample_id"] + [f"teacher_{t}" for t in range(m)]
-        cells = [st.integers(-1, 9).map(str)] * m
+        cells = [st.integers(0, 9).map(str)] * m
     elif reader == "features":
         dim, has_label = draw(st.integers(1, 3)), draw(st.booleans())
         header = ["sample_id"] + [f"f{j}" for j in range(dim)] + ["label"] * has_label
