@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-import time
 import typing
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -222,18 +221,13 @@ def cmd_train(args) -> int:
     policy = _from_json(student.AugmentPolicy, cfg.get("augment", {}), "augment")
     warm = cfg.get("warm_start_checkpoint")
 
-    # Inputs are checked first and out_dir is made at the first checkpoint,
-    # so a run that fails before then leaves no output directory.
+    # out_dir changes only from the first checkpoint on (see run_curriculum),
+    # so a warm start may come from it and a run that fails before then
+    # leaves an earlier run's files alone.
     ds = data.load_features(paths["features"])
     vocab = data.load_class_vocab(paths["vocab"])
     matrix = consensus.read_matrix_csv(paths["pseudo_labels"], n_classes=len(vocab))
     warm_model = student.load_checkpoint(warm) if warm is not None else None
-    # An earlier run's outputs go before this run writes any, so a run
-    # that fails from here on never leaves a mixed set behind.
-    for name in (*curriculum.CHECKPOINT_NAMES.values(), "train_report.json", "timing.json"):
-        (out_dir / name).unlink(missing_ok=True)
-
-    started = time.perf_counter()
     _, run = curriculum.run_curriculum(
         ds,
         matrix,
@@ -244,17 +238,7 @@ def cmd_train(args) -> int:
         checkpoint_dir=out_dir,
         warm_start=warm_model,
     )
-
-    # Wall time lives in a sidecar so train_report.json stays
-    # byte-reproducible across identical runs.
-    curriculum.write_run_report(run, out_dir / "train_report.json")
-    timing = {
-        "stage_wall_time_s": {r.stage: r.wall_time_s for r in run.reports},
-        "total_wall_time_s": time.perf_counter() - started,
-    }
-    fileio.atomic_write_text(
-        out_dir / "timing.json", json.dumps(timing, indent=2, sort_keys=True) + "\n"
-    )
+    curriculum.write_run_report(run, out_dir)
     for report in run.reports:
         acc = "n/a" if report.accuracy is None else f"{report.accuracy:.4f}"
         print(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +56,12 @@ STAGE_SMKE = "SMKE"
 STAGE_MMR = "MMR"
 STAGES = (STAGE_RKT, STAGE_SMKE, STAGE_MMR)
 CHECKPOINT_NAMES = {stage: f"checkpoint_{stage.lower()}.bin" for stage in STAGES}
+REPORT_NAME, TIMING_NAME = "train_report.json", "timing.json"
+# Every file a run writes; an earlier run's go at this run's first checkpoint.
+RUN_FILES = (*CHECKPOINT_NAMES.values(), REPORT_NAME, TIMING_NAME)
 
 # Values a stage config read from JSON takes for the keys it omits.
 STAGE_DEFAULTS = {STAGE_SMKE: {"tau": 0.7}, STAGE_MMR: {"tau": 0.95, "lambda_cons": 0.5}}
-DEFAULT_LAMBDA_CONS = STAGE_DEFAULTS[STAGE_MMR]["lambda_cons"]
 DEFAULT_HIDDEN_DIMS = [128]
 
 LOSS_SAMPLE_EVERY = 50
@@ -107,11 +109,10 @@ class StageConfig:
 
 @dataclass
 class TrainReport:
-    """What one stage did.
+    """What one stage did: its entry in ``train_report.json``, so every
+    field is deterministic.
 
     ``touched_sample_count`` is the size of the stage's sample pool.
-    ``wall_time_s`` is the only non-deterministic field and is excluded
-    from the JSON form so written reports are byte-reproducible.
     """
 
     stage: str
@@ -121,29 +122,24 @@ class TrainReport:
     accuracy: float | None = None
     label_sources: dict[str, int] | None = None
     touched_sample_count: int = 0
-    wall_time_s: float | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "stage": self.stage,
-            "iterations": self.iterations,
-            "final_loss": self.final_loss,
-            "loss_curve": [[int(i), float(l)] for i, l in self.loss_curve],
-            "accuracy": self.accuracy,
-            "touched_sample_count": self.touched_sample_count,
-        }
-        if self.label_sources is not None:
-            out["label_sources"] = dict(self.label_sources)
+        out = asdict(self)
+        if self.label_sources is None:
+            del out["label_sources"]
         return out
 
 
 @dataclass
 class CurriculumRun:
-    """Result bundle of a full three-stage run."""
+    """Result bundle of a full three-stage run. The wall times, per stage
+    and for the whole run, are its only non-deterministic fields."""
 
     seed: int
     reports: list[TrainReport]
     checkpoint_paths: dict[str, str] = field(default_factory=dict)
+    stage_wall_time_s: dict[str, float] = field(default_factory=dict)
+    total_wall_time_s: float | None = None
 
 
 def validate_stage_configs(configs: list[StageConfig]) -> None:
@@ -163,7 +159,9 @@ def _train_stage(
     tail batch is kept) from the stage's own shuffle stream.
 
     ``batch_loss(iteration, batch)`` applies the stage's label rule to
-    the sample indices in ``batch`` and returns (loss, grads).
+    the sample indices in ``batch`` and returns (loss, grads). A
+    non-finite loss, or parameters no float32 checkpoint can hold, raise
+    :class:`StageError`.
     """
     shuffle_rng = derive_rng(seed, SHUFFLE, STAGES.index(cfg.stage))
     optimizer = init_optimizer(model, cfg.learning_rate)
@@ -185,6 +183,9 @@ def _train_stage(
                 curve.append((iteration, loss))
             optimizer_step(model, optimizer, grads)
             last_loss = loss
+    # NaN fails the comparison; so does anything float32 would round to inf.
+    if not np.all(np.abs(model.params) <= F32_MAX):
+        raise StageError(f"{cfg.stage}: parameters are not finite in float32")
     return TrainReport(
         stage=cfg.stage,
         iterations=cfg.max_iter,
@@ -352,12 +353,15 @@ def run_curriculum(
 
     Training sees only the feature view of ``ds``; true labels, when
     present, feed the per-stage accuracy report and nothing else.
-    ``checkpoint_dir`` is made at the first checkpoint, and a failed stage
-    leaves earlier checkpoints in place. ``hidden_dims``
+    ``checkpoint_dir`` is made at the first checkpoint, and the
+    ``RUN_FILES`` an earlier run left there are removed just before it:
+    a run that fails before then changes nothing on disk, and a failed
+    later stage leaves only this run's earlier checkpoints. ``hidden_dims``
     None means ``DEFAULT_HIDDEN_DIMS``; ``[]`` gives a linear student.
     With ``warm_start`` the checkpoint sets the shape, and ``hidden_dims``,
     when given, must equal its hidden layer widths.
     """
+    started = time.perf_counter()
     validate_stage_configs(configs)
     if policy is None:
         policy = AugmentPolicy()
@@ -379,42 +383,51 @@ def run_curriculum(
 
     run = CurriculumRun(seed=seed, reports=[])
     for cfg in configs:
-        started = time.perf_counter()
+        stage_started = time.perf_counter()
         if cfg.stage == STAGE_RKT:
             report = run_rkt(model, X, part, pl, cfg, seed)
         elif cfg.stage == STAGE_SMKE:
             report = run_smke(model, X, part, pl, cfg, seed)
         else:
             report = run_mmr(model, X, part, pl, cfg, policy, seed)
-        report.wall_time_s = time.perf_counter() - started
-        # NaN fails the comparison; so does anything float32 would round to inf.
-        if not np.all(np.abs(model.params) <= F32_MAX):
-            raise StageError(f"{cfg.stage}: parameters are not finite in float32")
+        run.stage_wall_time_s[cfg.stage] = time.perf_counter() - stage_started
         if truths is not None:
             # Clean (unaugmented) forward pass on the aligned set.
             _, predicted = confidence(model, X)
             report.accuracy = float(np.mean(predicted == truths))
         run.reports.append(report)
         if checkpoint_dir is not None:
-            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-            path = Path(checkpoint_dir) / CHECKPOINT_NAMES[cfg.stage]
+            checkpoint_dir = Path(checkpoint_dir)
+            if not run.checkpoint_paths:
+                for name in RUN_FILES:
+                    (checkpoint_dir / name).unlink(missing_ok=True)
+                checkpoint_dir.mkdir(parents=True, exist_ok=True)
+            path = checkpoint_dir / CHECKPOINT_NAMES[cfg.stage]
             save_checkpoint(model, path)
             run.checkpoint_paths[cfg.stage] = str(path)
+    run.total_wall_time_s = time.perf_counter() - started
     return model, run
 
 
-def write_run_report(run: CurriculumRun, path: str | Path) -> None:
-    """Deterministic JSON report.
+def write_run_report(run: CurriculumRun, out_dir: str | Path) -> None:
+    """Write ``run``'s ``train_report.json`` and ``timing.json`` into
+    ``out_dir``, each atomically.
 
-    Checkpoints are referenced by file name (they sit next to the
-    report) and timing lives elsewhere, so identical runs produce
-    byte-identical report files regardless of where they ran.
+    The report is deterministic: checkpoints are named by file name (they
+    sit next to it) and the wall times go to the sidecar, so identical
+    runs write byte-identical reports wherever they ran.
     """
-    payload = {
+    report = {
         "seed": run.seed,
         "checkpoints": {
             stage: Path(p).name for stage, p in sorted(run.checkpoint_paths.items())
         },
-        "stages": [report.to_json_dict() for report in run.reports],
+        "stages": [r.to_json_dict() for r in run.reports],
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    timing = {
+        "stage_wall_time_s": run.stage_wall_time_s,
+        "total_wall_time_s": run.total_wall_time_s,
+    }
+    for name, payload in ((REPORT_NAME, report), (TIMING_NAME, timing)):
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        atomic_write_text(Path(out_dir) / name, text)

@@ -82,13 +82,12 @@ _BLOCK_ROWS = 4096
 
 @dataclass
 class CsvTable:
-    """What a read keeps of a CSV file: the header, the first column's
-    sample ids, one (N, k) array per column spec, and the physical line on
-    which each of the N non-blank rows starts. No string row outlives the
-    block it was parsed in."""
+    """What a read keeps of a CSV file: the first column's sample ids, one
+    (N, k) array per column spec, and the physical line on which each of
+    the N non-blank rows starts. No string row outlives the block it was
+    parsed in."""
 
     path: str
-    header: list[str]
     sample_ids: list[str]
     arrays: list[np.ndarray]
     lines: np.ndarray
@@ -145,7 +144,7 @@ def read_csv(
             if header != expected:
                 raise ParseError(f"{path}: malformed header {header}, expected {expected}")
             arrays = [np.empty((0, len(header[cols])), dtype) for cols, dtype in specs]
-            table = CsvTable(str(path), header, [], arrays, np.empty(0, np.int64))
+            table = CsvTable(str(path), [], arrays, np.empty(0, np.int64))
             seen: set[str] = set()
             rows, lines = [], []
             end = reader.line_num

@@ -9,7 +9,7 @@ teacher's individual accuracy, since no vote is meaningful there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,24 +59,8 @@ class ReliabilityReport:
     n_teachers: int
     bins: list[ReliabilityBin]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_teachers": self.n_teachers,
-            "bins": [
-                {
-                    "score": b.score,
-                    "agreement_count": b.agreement_count,
-                    "n_samples": b.n_samples,
-                    "majority_accuracy": b.majority_accuracy,
-                    "per_teacher_accuracy": b.per_teacher_accuracy,
-                }
-                for b in self.bins
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_text_table(self) -> str:
         """Aligned columns, one row per reliability level."""

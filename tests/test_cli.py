@@ -149,6 +149,32 @@ class TestLabel:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "records, flags, message",
+        [
+            ([], [], "no teacher records to label"),
+            (
+                [("s0", 0, "car"), ("s0", 1, "car"), ("s1", 0, "bicycle")],
+                ["--on-unlabeled", "error"],
+                "samples missing teacher labels: ['s1']",
+            ),
+        ],
+        ids=["empty-records", "missing-teacher-record"],
+    )
+    def test_error_paths_exit_3(self, tmp_path, capsys, records, flags, message):
+        vocab, path, out = (tmp_path / name for name in ("vocab.txt", "t.jsonl", "pl.csv"))
+        vocab.write_text("car\nbicycle\n", encoding="utf-8")
+        path.write_text(
+            "".join(
+                json.dumps({"sample_id": sid, "teacher": t, "text": text}) + "\n"
+                for sid, t, text in records
+            ),
+            encoding="utf-8",
+        )
+        assert main(["label", str(path), str(vocab), *flags, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("teacher", [1.7, True, 10**29])
     def test_teacher_id_not_a_small_integer_exit_3(self, tmp_path, teacher):
         # 1.7 and true were read as teacher 1 (exit 0); 10**29 crashed with
@@ -321,11 +347,73 @@ def test_partition_fuzzed_pseudo_labels_exit_cleanly(pl_bytes):
             assert not out.exists()
 
 
+# A valid [2, 3, 2] checkpoint (17 parameters) and a features file it
+# evaluates; the quoted id lets mutations reach the CSV quoting rules.
+FUZZ_CHECKPOINT = (
+    b"RCLM0001" + struct.pack("<4Q", 3, 2, 3, 2) + np.linspace(-1, 1, 17, dtype="<f4").tobytes()
+)
+FUZZ_FEATURES = b'sample_id,f0,f1,label\ns0,0.5,-1.25,0\n"s,1",1e-3,2,1\ns2,3,0,1\n'
+
+
+def eval_exits_cleanly(checkpoint_bytes: bytes, features_bytes: bytes) -> None:
+    """``eval`` either scores or fails with exit 3 and an error line, never a
+    traceback, and a failure writes no --out file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint, features, out = (
+            Path(tmp) / name for name in ("model.bin", "features.csv", "acc.json")
+        )
+        checkpoint.write_bytes(checkpoint_bytes)
+        features.write_bytes(features_bytes)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["eval", str(checkpoint), str(features), "--out", str(out)])
+        assert code in (0, 3)
+        if code != 0:
+            assert err.getvalue().startswith("error:")
+            assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_CHECKPOINT))
+def test_eval_fuzzed_checkpoint_exits_cleanly(checkpoint_bytes):
+    eval_exits_cleanly(checkpoint_bytes, FUZZ_FEATURES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_FEATURES))
+def test_eval_fuzzed_features_exit_cleanly(features_bytes):
+    eval_exits_cleanly(FUZZ_CHECKPOINT, features_bytes)
+
+
 def set_label(pl_csv: Path, line: int, value: str) -> None:
     """Overwrite the last label on ``line`` of a pseudo-label CSV."""
     lines = pl_csv.read_text(encoding="utf-8").splitlines()
     lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + "," + value
     pl_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def drop_last_feature_row(data_dir: Path, tmp_path: Path, config: dict) -> None:
+    features = data_dir / "features.csv"
+    lines = features.read_text(encoding="utf-8").splitlines()
+    features.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+
+
+def warm_start_128_wide(data_dir: Path, tmp_path: Path, config: dict) -> None:
+    warm = tmp_path / "warm.bin"
+    save_checkpoint(init_student([SIM_SPEC["dim"], 128, SIM_SPEC["n_classes"]], seed=1), warm)
+    config.update(hidden_dims=[7], warm_start_checkpoint=str(warm))
+
+
+# Faults that only run_curriculum detects, each before the run's first
+# checkpoint: (edit of the data or config, exit code, stderr text).
+EARLY_RUN_FAULTS = {
+    "pl-sample-missing-from-features": (drop_last_feature_row, 3, "not in the feature set"),
+    "zero-hidden-dim": (lambda d, t, c: c.update(hidden_dims=[0]), 2, "bad layer dims"),
+    "hidden-dims-beside-warm-start": (warm_start_128_wide, 2, "hidden_dims [7] differ"),
+    "rkt-divergence": (
+        lambda d, t, c: c["stages"][0].update(learning_rate=1e200), 4, "RKT: training diverged"
+    ),
+}
 
 
 class TestPartition:
@@ -434,6 +522,26 @@ class TestTrainEval:
         capsys.readouterr()
         assert main(["train", "--config", str(config)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {pl_csv}:3: ")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("fault", EARLY_RUN_FAULTS)
+    def test_failed_rerun_before_first_checkpoint_leaves_earlier_outputs(
+        self, pipeline_dir, tmp_path, capsys, fault
+    ):
+        # Each of these reruns used to remove the earlier run's five files
+        # before failing; output_dir changes only from the first checkpoint on.
+        edit, code, message = EARLY_RUN_FAULTS[fault]
+        out_dir = tmp_path / "o"
+        path = write_run_config(tmp_path, pipeline_dir, out_dir)
+        assert main(["train", "--config", str(path)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        config = json.loads(path.read_text())
+        edit(pipeline_dir, tmp_path, config)
+        path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_divergent_training_exit_4(self, pipeline_dir, tmp_path, capsys):
@@ -547,6 +655,38 @@ class TestTrainEval:
         assert "layer dims" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("labels-missing-a-sample", "labels missing for samples"),
+            ("feature-width", "feature dim 8 does not match checkpoint input 9"),
+            ("truncated-header", "truncated checkpoint header"),
+            ("truncated-layer-dims", "truncated layer dims"),
+        ],
+    )
+    def test_eval_error_paths_exit_3(self, pipeline_dir, tmp_path, capsys, fault, message):
+        features = pipeline_dir / "features.csv"
+        checkpoint, out = tmp_path / "model.bin", tmp_path / "acc.json"
+        dims = [SIM_SPEC["dim"] + (fault == "feature-width"), 4, SIM_SPEC["n_classes"]]
+        save_checkpoint(init_student(dims, seed=1), checkpoint)
+        flags = []
+        if fault == "labels-missing-a-sample":
+            rows = features.read_text(encoding="utf-8").splitlines()[1:-1]
+            labels = tmp_path / "labels.csv"
+            pairs = [f"{r.split(',')[0]},{r.rsplit(',', 1)[1]}\n" for r in rows]
+            labels.write_text("sample_id,label\n" + "".join(pairs), encoding="utf-8")
+            flags = ["--labels", str(labels)]
+        elif fault.startswith("truncated"):
+            # 8 magic bytes, the u64 dim count, then three u64 dims: cut
+            # inside the count, or after the second dim.
+            end = 12 if fault == "truncated-header" else 8 + 8 + 16
+            checkpoint.write_bytes(checkpoint.read_bytes()[:end])
+        code = main(["eval", str(checkpoint), str(features), *flags, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_simulate_outputs_consistent(self, pipeline_dir):
@@ -558,6 +698,16 @@ class TestSimulate:
         ds = data_mod.load_features(pipeline_dir / "features.csv")
         assert matrix.sample_ids == ds.sample_ids
         assert matrix.m == 3
+
+    @pytest.mark.parametrize("n_names", [3, 5])
+    def test_class_names_length_differs_exit_2(self, tmp_path, capsys, n_names):
+        spec = tmp_path / "sim.json"
+        names = [f"class {c}" for c in range(n_names)]
+        spec.write_text(json.dumps({**SIM_SPEC, "class_names": names}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: class_names length must equal n_classes")
+        assert not out.exists()
 
     def test_simulate_rerun_identical(self, tmp_path):
         spec_path = tmp_path / "sim.json"
@@ -633,6 +783,30 @@ class TestStrictConfigs:
         assert not list(out.glob("checkpoint_*.bin"))
         assert not (out / "train_report.json").exists()
         assert not (out / "teachers.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("missing-file", "cannot read config"),
+            ("top-level-list", "config: expected a JSON object, got list"),
+            ("stage-not-object", "stages[1]: expected a JSON object, got str"),
+        ],
+    )
+    def test_train_config_error_paths_exit_2(
+        self, pipeline_dir, tmp_path, capsys, fault, message
+    ):
+        out = tmp_path / "out"
+        config = json.loads(write_run_config(tmp_path, pipeline_dir, out).read_text())
+        path = tmp_path / "bad.json"
+        if fault == "top-level-list":
+            path.write_text(json.dumps([config]), encoding="utf-8")
+        elif fault == "stage-not-object":
+            path.write_text(json.dumps(edited(config, ("stages", 1), "SMKE")), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "simulate"])
     def test_non_utf8_config_exit_2(self, command, tmp_path, capsys):

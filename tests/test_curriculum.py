@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from relidistill import curriculum
 from relidistill.cli import parse_stage_configs
 from relidistill.consensus import TAG_LESS_RELIABLE, TAG_RELIABLE, partition
 from relidistill.curriculum import (
-    DEFAULT_LAMBDA_CONS,
+    STAGE_DEFAULTS,
     _refine_batch,
     _smke_labels,
     run_mmr,
@@ -87,7 +88,7 @@ class TestStageConfig:
         )
         assert cfgs[1].tau == 0.7
         assert cfgs[2].tau == 0.95
-        assert cfgs[2].lambda_cons == DEFAULT_LAMBDA_CONS == 0.5
+        assert cfgs[2].lambda_cons == STAGE_DEFAULTS["MMR"]["lambda_cons"] == 0.5
 
     def test_reference_scale_config_parses(self):
         # The published 65-class setup: lr 1e-4/1e-5/1e-5, tau 0.7/0.95,
@@ -224,6 +225,16 @@ class TestRunRkt:
         model = rd.init_student([4, 8, 3], seed=3)
         with pytest.raises(StageError):
             run_rkt(model, ds.features, partition(pl), pl, cfg, seed=3)
+
+    def test_float32_overflowing_parameters_raise(self, small_teacher_setup):
+        # run_rkt used to return normally holding a bias that no float32
+        # checkpoint can store; only run_curriculum checked.
+        ds, pl = small_teacher_setup
+        model = rd.init_student([ds.dim, 16, 4], seed=9)
+        model.biases[-1][0] = 1e39
+        cfg = rd.StageConfig("RKT", 1e-3, 32, 10)
+        with pytest.raises(StageError, match="RKT: parameters are not finite in float32"):
+            run_rkt(model, ds.features, partition(pl), pl, cfg, seed=9)
 
     def test_touches_only_reliable_samples(self, small_teacher_setup, monkeypatch):
         ds, pl = small_teacher_setup
@@ -378,6 +389,22 @@ class TestRunCurriculum:
             assert report.loss_curve[0][0] == 0
         for stage in ("RKT", "SMKE", "MMR"):
             assert (tmp_path / f"checkpoint_{stage.lower()}.bin").exists()
+
+    def test_run_report_and_timing_sidecar(self, small_teacher_setup, tmp_path):
+        # The reports hold only deterministic fields; the run's wall times
+        # go to timing.json.
+        ds, pl = small_teacher_setup
+        _, run = rd.run_curriculum(ds, pl, self._configs(), seed=3, checkpoint_dir=tmp_path)
+        curriculum.write_run_report(run, tmp_path)
+        report = json.loads((tmp_path / "train_report.json").read_text(encoding="utf-8"))
+        assert report["checkpoints"]["MMR"] == "checkpoint_mmr.bin"
+        stages = [r.to_json_dict() for r in run.reports]
+        assert report["stages"] == json.loads(json.dumps(stages))
+        assert "label_sources" not in report["stages"][0]
+        timing = json.loads((tmp_path / "timing.json").read_text(encoding="utf-8"))
+        assert sorted(timing) == ["stage_wall_time_s", "total_wall_time_s"]
+        assert timing["stage_wall_time_s"] == run.stage_wall_time_s
+        assert timing["total_wall_time_s"] >= sum(run.stage_wall_time_s.values()) > 0
 
     def test_creates_missing_checkpoint_dir(self, small_teacher_setup, tmp_path):
         # save_checkpoint used to fail on a directory that did not exist.
