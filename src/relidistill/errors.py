@@ -30,7 +30,7 @@ class LookupMissError(DataError):
 
 
 class UndefinedSimilarityError(DataError):
-    """Cosine similarity was requested against an all-zero vector."""
+    """Cosine similarity was requested against an all-zero or non-finite vector."""
 
 
 class UnlabeledSampleError(DataError):

@@ -78,13 +78,14 @@ class TrigramEmbedder:
     """
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(TRIGRAM_DIM)
         normalized = normalize_text(text)
-        if normalized:
-            padded = normalized.ljust(3)
-            for i in range(len(padded) - 2):
-                vec[_bucket(padded[i : i + 3])] += 1.0
-            vec /= math.sqrt(float(vec @ vec))
+        if not normalized:
+            return np.zeros(TRIGRAM_DIM)
+        padded = normalized.ljust(3)
+        buckets = [_bucket(padded[i : i + 3]) for i in range(len(padded) - 2)]
+        # Small integer counts, so ``vec @ vec`` is exact in any order.
+        vec = np.bincount(buckets, minlength=TRIGRAM_DIM).astype(np.float64)
+        vec /= math.sqrt(float(vec @ vec))
         return vec
 
 
@@ -146,22 +147,31 @@ def embed_text(text: str, backend: Embedder) -> np.ndarray:
 
 
 class _ClassSide(NamedTuple):
-    """The class half of :func:`sts`, computed once per (C, d) matrix."""
+    """The class half of :func:`sts`, computed once per (C, d) matrix.
+
+    :func:`assign_pseudo_label` also builds a restricted side: ``rows``
+    keeps only the columns where the query is nonzero, ``sq_norms`` stays
+    that of the full rows. The columns dropped add nothing to the
+    numerators or to the query's norm, so the cosines are unchanged up to
+    rounding.
+    """
 
     rows: np.ndarray  # each row divided by its max-abs entry
-    sq_norms: np.ndarray  # (C,) squared norms of ``rows``
+    sq_norms: np.ndarray  # (C,) squared norms of the full ``rows``
 
 
 def _class_side(rows: np.ndarray) -> _ClassSide:
     """Prescale each row of ``rows`` by its max-abs entry and take its squared norm.
 
     Cosine is scale-invariant, and after the prescale the squared norms lie
-    in [1, d], where they cannot under- or overflow. An all-zero row raises
-    :class:`UndefinedSimilarityError`.
+    in [1, d], where they cannot under- or overflow. An all-zero row or a
+    non-finite entry raises :class:`UndefinedSimilarityError`.
     """
     scale = np.max(np.abs(rows), axis=1, keepdims=True, initial=0.0)
     if not np.all(scale):
         raise UndefinedSimilarityError("cosine of an all-zero vector is undefined")
+    if not np.all(np.isfinite(scale)):
+        raise UndefinedSimilarityError("cosine of a non-finite vector is undefined")
     rows = rows / scale
     sq_norms = np.einsum("cd,cd->c", rows, rows)
     rows.flags.writeable = sq_norms.flags.writeable = False
@@ -177,7 +187,8 @@ def sts(a: np.ndarray, b: np.ndarray | _ClassSide) -> float | np.ndarray:
     such a matrix, as :class:`ClassVocab` keeps one per backend; it gives
     the same C similarities, bit for bit. Numerators and squared norms come
     from the same reduction and IEEE-754 square root is correctly rounded,
-    so identical vectors score exactly 1.0.
+    so identical vectors score exactly 1.0. An all-zero or non-finite
+    vector on either side raises :class:`UndefinedSimilarityError`.
     """
     va = np.asarray(a, dtype=np.float64)
     side = b if isinstance(b, _ClassSide) else None
@@ -190,6 +201,8 @@ def sts(a: np.ndarray, b: np.ndarray | _ClassSide) -> float | np.ndarray:
     ma = np.max(np.abs(va), initial=0.0)
     if ma == 0.0:
         raise UndefinedSimilarityError("cosine of an all-zero vector is undefined")
+    if not math.isfinite(ma):
+        raise UndefinedSimilarityError("cosine of a non-finite vector is undefined")
     va = va / ma
     sims = np.einsum("cd,d->c", side.rows, va) / np.sqrt(
         np.einsum("d,d->", va, va) * side.sq_norms
@@ -243,6 +256,8 @@ class ClassVocab:
                 vec = embed_text(name, backend)
                 if not np.any(vec):
                     raise ConfigError(f"class name {name!r} embeds to the zero vector")
+                if not np.all(np.isfinite(vec)):
+                    raise ConfigError(f"class name {name!r} embeds to a non-finite vector")
                 rows.append(vec / math.sqrt(float(vec @ vec)))
             matrix = np.array(rows)
             matrix.flags.writeable = False
@@ -301,9 +316,13 @@ def assign_pseudo_label(record: TeacherRecord, vocab: ClassVocab, backend: Embed
 
     Text equal to a class name after normalization maps straight to that
     class; otherwise the cosine argmax decides, with similarity ties
-    resolved to the lowest class index. Un-embeddable text (empty under
-    the trigram backend, missing from a precomputed table) raises
-    :class:`UnlabeledSampleError`.
+    resolved to the lowest class index. The cosines are taken over the
+    query's nonzero entries only, which gives the same similarities as a
+    plain ``sts(query, class_matrix)`` call up to rounding, bit for bit
+    for a query with no zero entry. Un-embeddable text (empty
+    under the trigram backend, missing from a precomputed table) raises
+    :class:`UnlabeledSampleError`; a non-finite embedding raises
+    :class:`UndefinedSimilarityError`.
     """
     verbatim = vocab.name_index.get(normalize_text(record.raw_text))
     if verbatim is not None:
@@ -312,11 +331,19 @@ def assign_pseudo_label(record: TeacherRecord, vocab: ClassVocab, backend: Embed
         query = embed_text(record.raw_text, backend)
     except LookupMissError as exc:
         raise UnlabeledSampleError(str(exc)) from exc
-    if not np.any(query):
+    support = np.flatnonzero(query)
+    if not support.size:
         raise UnlabeledSampleError(
             f"text {record.raw_text!r} has no embeddable content"
         )
-    return int(np.argmax(sts(query, vocab._embedded(backend)[2])))
+    side = vocab._embedded(backend)[2]
+    # A query whose shape differs from the class side's keeps the full
+    # call, so sts reports the mismatch. ``take`` keeps the rows
+    # C-ordered (``rows[:, support]`` is Fortran-ordered), so a query with
+    # no zero entry gets the dense call's bytes.
+    if query.shape == side.rows.shape[1:]:
+        query, side = query[support], side._replace(rows=side.rows.take(support, axis=1))
+    return int(np.argmax(sts(query, side)))
 
 
 @dataclass

@@ -306,22 +306,61 @@ def mutated_bytes(draw, data: bytes) -> bytes:
     return bytes(out)
 
 
-@settings(max_examples=60, deadline=None)
-@given(mutated_bytes(FUZZ_RECORDS))
-def test_label_fuzzed_teacher_records_exit_cleanly(records_bytes):
-    # Every damaged teachers file either labels or fails with an exit code
-    # and an error line, never a traceback, and a failure writes no pl.csv.
+def label_exits_cleanly(records: bytes, vocab: bytes, table: bytes | None = None) -> str | None:
+    """``label`` either labels or fails with exit 2 or 3 and an error line,
+    never a traceback, and a failure writes no --out file. ``table``, when
+    given, is the precomputed backend's TSV. Returns the pl.csv written,
+    or None after a failure."""
     with tempfile.TemporaryDirectory() as tmp:
-        vocab, records, out = (Path(tmp) / name for name in ("v.txt", "t.jsonl", "pl.csv"))
-        vocab.write_text(FUZZ_VOCAB, encoding="utf-8")
-        records.write_bytes(records_bytes)
+        paths = {name: Path(tmp) / name for name in ("v.txt", "t.jsonl", "e.tsv", "pl.csv")}
+        paths["v.txt"].write_bytes(vocab)
+        paths["t.jsonl"].write_bytes(records)
+        argv = ["label", str(paths["t.jsonl"]), str(paths["v.txt"]), "--out", str(paths["pl.csv"])]
+        if table is not None:
+            paths["e.tsv"].write_bytes(table)
+            argv += ["--backend", f"precomputed:{paths['e.tsv']}"]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["label", str(records), str(vocab), "--out", str(out)])
+            code = main(argv)
         assert code in (0, 2, 3)
         if code != 0:
             assert err.getvalue().startswith("error:")
-            assert not out.exists()
+            assert not paths["pl.csv"].exists()
+            return None
+        return paths["pl.csv"].read_text(encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_RECORDS))
+def test_label_fuzzed_teacher_records_exit_cleanly(records_bytes):
+    label_exits_cleanly(records_bytes, FUZZ_VOCAB.encode("utf-8"))
+
+
+# A valid table for FUZZ_VOCAB and FUZZ_RECORDS: it covers every class
+# name, misses one answer and holds a zero vector, and its non-ASCII key
+# lets mutations reach the UTF-8 check.
+FUZZ_TABLE = (
+    "car\t1 0 0\nbicycle\t0 1 0\nkettle\t0 0 1\na red car\t0.9 0.1 0\n"
+    "Kettle.\t0 0.25 1e-3\ncaf\u00e9 bike\t0.2 0.7 -0.1\n?!\t0 0 0\n"
+).encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_VOCAB.encode("utf-8")))
+def test_label_fuzzed_vocab_exits_cleanly(vocab_bytes):
+    label_exits_cleanly(FUZZ_RECORDS, vocab_bytes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_TABLE))
+def test_label_fuzzed_precomputed_table_exits_cleanly(table_bytes):
+    label_exits_cleanly(FUZZ_RECORDS, FUZZ_VOCAB.encode("utf-8"), table_bytes)
+
+
+def test_label_valid_precomputed_table_fuzz_seed_labels():
+    # The unmutated fuzz inputs label: mutations start from a passing run.
+    pl_csv = label_exits_cleanly(FUZZ_RECORDS, FUZZ_VOCAB.encode("utf-8"), FUZZ_TABLE)
+    assert pl_csv.splitlines()[1:] == ["s0,0,0", "s1,2,1"]
 
 
 # A valid pl.csv; its quoted id lets mutations reach the CSV quoting rules.

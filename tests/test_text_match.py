@@ -16,7 +16,8 @@ from relidistill.errors import (
     UndefinedSimilarityError,
     UnlabeledSampleError,
 )
-from relidistill.text_match import _class_side, normalize_text
+from relidistill import text_match
+from relidistill.text_match import TRIGRAM_DIM, _bucket, _class_side, normalize_text
 
 
 def naive_trigram_cosine(a: str, b: str) -> float:
@@ -566,3 +567,149 @@ class TestLabelRecordsMatchesPerRecordOracle:
         assert summary.dropped_sample_ids == [
             r for r in dict.fromkeys(r.sample_id for r in records) if r not in sample_ids
         ]
+
+
+class TestNonFiniteEmbeddings:
+    # Each of these used to yield a label: NaN compares false, so the NaN
+    # similarity lost every argmax and another class won.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sts_rejects_non_finite_query(self, bad):
+        for b in (np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]])):
+            with pytest.raises(UndefinedSimilarityError, match="non-finite"):
+                rd.sts(np.array([bad, 1.0]), b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_class_side_rejects_non_finite_row(self, bad):
+        rows = np.array([[1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(UndefinedSimilarityError, match="non-finite"):
+            _class_side(rows)
+        with pytest.raises(UndefinedSimilarityError, match="non-finite"):
+            rd.sts(np.array([1.0, 0.0]), rows)
+
+    def test_non_finite_answer_raises_not_labels(self):
+        table = rd.PrecomputedTable(
+            {
+                "car": np.array([1.0, 0.0, 0.0]),
+                "bus": np.array([0.0, 1.0, 0.0]),
+                "odd": np.array([0.0, np.nan, 1.0]),
+            }
+        )
+        records = [rd.TeacherRecord("s0", 0, "car"), rd.TeacherRecord("s0", 1, "odd")]
+        with pytest.raises(UndefinedSimilarityError, match="non-finite"):
+            rd.label_records(records, rd.ClassVocab(["car", "bus"]), table)
+
+    def test_non_finite_class_vector_names_the_class(self):
+        table = rd.PrecomputedTable(
+            {
+                "car": np.array([1.0, 0.0]),
+                "bus": np.array([np.nan, 1.0]),
+                "a kettle": np.array([1.0, 1.0]),
+            }
+        )
+        records = [rd.TeacherRecord("s0", t, "a kettle") for t in (0, 1)]
+        with pytest.raises(ConfigError, match="'bus' embeds to a non-finite vector"):
+            rd.label_records(records, rd.ClassVocab(["car", "bus"]), table)
+
+
+def per_trigram_embed(text: str) -> np.ndarray:
+    """One ``+= 1.0`` per trigram, then the L2 normalisation; oracle for embed."""
+    vec = np.zeros(TRIGRAM_DIM)
+    normalized = normalize_text(text)
+    if normalized:
+        padded = normalized.ljust(3)
+        for i in range(len(padded) - 2):
+            vec[_bucket(padded[i : i + 3])] += 1.0
+        vec /= math.sqrt(float(vec @ vec))
+    return vec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(max_size=3),
+        st.text(alphabet="aé ß-.!\u00c5\u4e2d\U0001f600", max_size=12),
+        st.text(max_size=80),
+    )
+)
+def test_embed_equals_per_trigram_counts(text):
+    assert rd.TrigramEmbedder().embed(text).tobytes() == per_trigram_embed(text).tobytes()
+
+
+TEMPLATES = (
+    "just {x}", "It is {a} {x}.", "I think this is {a} {x}", "Looks like {a} {x} to me!",
+    "probably {a} {x}, or maybe not", "The object is {a} {x}.",
+)
+MODIFIERS = ("", "small", "red", "old wooden", "broken", "shiny new")
+
+
+def record_sts(monkeypatch) -> list:
+    """(a, b, similarities) of every sts call assign_pseudo_label makes."""
+    calls = []
+
+    def recording_sts(a, b):
+        sims = rd.sts(a, b)
+        calls.append((a, b, sims))
+        return sims
+
+    monkeypatch.setattr(text_match, "sts", recording_sts)
+    return calls
+
+
+def test_support_restriction_matches_dense_sts_on_65_names(object_vocab, monkeypatch):
+    # 65 x 6 x 6 = 2 340 fixed answers. The labels are those of dense sts
+    # calls on the class matrix, and the scores differ only by rounding.
+    backend = rd.TrigramEmbedder()
+    # The prepared side gives sts(query, class_matrix)'s bytes (see
+    # TestSts::test_matrix_equals_row_calls) without re-preparing it per call.
+    dense_side = object_vocab._embedded(backend)[2]
+    calls = record_sts(monkeypatch)
+    texts = []
+    for name in object_vocab.names:
+        for template in TEMPLATES:
+            for modifier in MODIFIERS:
+                x = f"{modifier} {name}".strip()
+                texts.append(template.format(a="an" if x[0] in "aeiou" else "a", x=x))
+    assert len(set(texts)) == len(texts) >= 2000
+    dense = [rd.sts(rd.embed_text(text, backend), dense_side) for text in texts]
+    labels = [rd.assign_pseudo_label(rd.TeacherRecord("s", 0, t), object_vocab, backend)
+              for t in texts]
+    assert labels == [int(np.argmax(sims)) for sims in dense]
+    assert len(calls) == len(texts)  # one restricted sts call per answer
+    np.testing.assert_array_max_ulp(np.array([c[2] for c in calls]), np.array(dense), maxulp=4)
+
+
+class TestSupportRestrictedCall:
+    """What assign_pseudo_label hands to sts, seen through a recording wrapper."""
+
+    def test_query_without_zero_entry_matches_the_dense_call_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        vectors = {name: rng.normal(size=24) for name in ("car", "bus", "van", "tram")}
+        vectors["query"] = rng.normal(size=24)
+        assert np.all(vectors["query"])
+        table = rd.PrecomputedTable(vectors)
+        vocab = rd.ClassVocab(["car", "bus", "van", "tram"])
+        calls = record_sts(monkeypatch)
+        label = rd.assign_pseudo_label(rd.TeacherRecord("s", 0, "query"), vocab, table)
+        ((_, _, sims),) = calls
+        dense = rd.sts(vectors["query"], vocab.class_matrix(table))
+        assert sims.tobytes() == dense.tobytes()
+        assert label == int(np.argmax(dense))
+
+    def test_sparse_query_is_matched_on_its_support(self, monkeypatch):
+        vocab, backend = rd.ClassVocab(["alarm clock", "bicycle", "kettle"]), rd.TrigramEmbedder()
+        calls = record_sts(monkeypatch)
+        rd.assign_pseudo_label(rd.TeacherRecord("s", 0, "an old kettle"), vocab, backend)
+        ((a, b, _),) = calls
+        support = np.flatnonzero(backend.embed("an old kettle"))
+        assert a.shape == (support.size,) and b.rows.shape == (3, support.size)
+        assert np.array_equal(b.sq_norms, vocab._embedded(backend)[2].sq_norms)
+
+    def test_ragged_query_still_reports_the_mismatch(self):
+        table = rd.PrecomputedTable(
+            {"car": np.array([1.0, 0.0, 0.0]), "bus": np.array([0.0, 1.0, 0.0]),
+             "short": np.array([0.0, 1.0])}
+        )
+        with pytest.raises(ShapeMismatchError):
+            rd.assign_pseudo_label(
+                rd.TeacherRecord("s", 0, "short"), rd.ClassVocab(["car", "bus"]), table
+            )
