@@ -5,7 +5,7 @@ always reads the cached matrix from disk rather than recomputing it.
 Every subcommand is deterministic given its inputs and seed.
 
 Exit codes: 0 success, 2 config/validation error, 3 data/parse error,
-4 stage failure.
+4 stage failure, or an allocation the machine refuses.
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ def cmd_train(args) -> int:
     # out_dir changes only from the first checkpoint on (see run_curriculum),
     # so a warm start may come from it and a run that fails before then
     # leaves an earlier run's files alone.
-    ds = data.load_features(paths["features"])
     vocab = data.load_class_vocab(paths["vocab"])
+    ds = data.load_features(paths["features"], n_classes=len(vocab))
     matrix = consensus.read_matrix_csv(paths["pseudo_labels"], n_classes=len(vocab))
     warm_model = student.load_checkpoint(warm) if warm is not None else None
     _, run = curriculum.run_curriculum(
@@ -251,9 +251,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = student.load_checkpoint(args.checkpoint)
-    ds = data.load_features(args.features)
+    # A truth label must be a class the checkpoint can predict.
+    n_classes = model.layer_dims[-1]
+    ds = data.load_features(args.features, n_classes)
     if args.labels is not None:
-        by_id = data.load_labels_csv(args.labels)
+        by_id = data.load_labels_csv(args.labels, n_classes)
         missing = [sid for sid in ds.sample_ids if sid not in by_id]
         if missing:
             raise DataError(f"labels missing for samples: {missing[:5]}")
@@ -346,6 +348,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STAGE
+    except MemoryError as exc:  # e.g. a simulate config's dim of 10**8
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_STAGE
 
 

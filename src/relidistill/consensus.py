@@ -202,9 +202,7 @@ def read_matrix_csv(path: str | Path, n_classes: int | None = None) -> PseudoLab
     (labels,) = table.arrays
     if n_classes is None:
         n_classes = max(2, int(labels.max()) + 1 if labels.size else 2)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        i = int(np.argmax(((labels < 0) | (labels >= n_classes)).any(axis=1)))
-        raise table.error(i, f"labels must lie in 0..{n_classes - 1}, got {labels[i].tolist()}")
+    table.check_labels(labels, n_classes)
     return PseudoLabelMatrix(sample_ids=table.sample_ids, labels=labels, n_classes=n_classes)
 
 

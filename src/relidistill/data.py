@@ -76,13 +76,16 @@ def _features_layout(header: list[str]) -> tuple[list[str], list[tuple[slice, ty
     return expected, columns
 
 
-def load_features(path: str | Path) -> FeatureDataset:
-    """Load a feature CSV, with its label column when it has one."""
+def load_features(path: str | Path, n_classes: int | None = None) -> FeatureDataset:
+    """Load a feature CSV, with its label column when it has one; given
+    ``n_classes``, a label outside 0..n_classes-1 raises naming its line."""
     table = read_csv(path, _features_layout)
     features, *labels = table.arrays
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise table.error(int(np.argmin(finite)), "non-finite feature")
+    if labels and n_classes is not None:
+        table.check_labels(labels[0], n_classes)
     return FeatureDataset(
         sample_ids=table.sample_ids,
         features=features.astype(np.float64),
@@ -122,10 +125,14 @@ def save_class_vocab(vocab: ClassVocab, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(vocab.names) + "\n")
 
 
-def load_labels_csv(path: str | Path) -> dict[str, int]:
-    """Read a ``sample_id,label`` CSV into a dict; ids must be unique."""
+def load_labels_csv(path: str | Path, n_classes: int | None = None) -> dict[str, int]:
+    """Read a ``sample_id,label`` CSV into a dict; ids must be unique, and
+    given ``n_classes``, a label outside 0..n_classes-1 raises naming its line."""
     table = read_csv(path, lambda header: (["sample_id", "label"], [(slice(1, 2), np.int64)]))
-    return dict(zip(table.sample_ids, table.arrays[0][:, 0].tolist()))
+    (labels,) = table.arrays
+    if n_classes is not None:
+        table.check_labels(labels, n_classes)
+    return dict(zip(table.sample_ids, labels[:, 0].tolist()))
 
 
 def _class_centers(n_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:

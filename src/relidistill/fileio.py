@@ -95,6 +95,14 @@ class CsvTable:
     def error(self, i: int, message: str) -> ParseError:
         return ParseError(f"{self.path}:{self.lines[i]}: {message}")
 
+    def check_labels(self, labels: np.ndarray, n_classes: int) -> None:
+        """Raise naming the first row of ``labels`` (one row of class indices
+        per table row) that holds a value outside 0..n_classes-1."""
+        bad = ((labels < 0) | (labels >= n_classes)).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise self.error(i, f"labels must lie in 0..{n_classes - 1}, got {labels[i].tolist()}")
+
     def _append(self, rows: list[list[str]], lines: list[int], specs) -> None:
         """Parse a block of rows onto the end of the arrays.
 

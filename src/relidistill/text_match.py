@@ -68,6 +68,22 @@ def _bucket(trigram: str) -> int:
     return ((h * _GOLDEN64) & _MASK64) >> _BUCKET_SHIFT
 
 
+# The most trigrams a TrigramEmbedder remembers the bucket of; at this
+# size its memo is emptied (see TrigramEmbedder).
+_MEMO_CAP = 1 << 16
+
+
+class _BucketMemo(dict):
+    """Trigram -> :func:`_bucket`, filled on first lookup and emptied when a
+    lookup misses with ``_MEMO_CAP`` entries held."""
+
+    def __missing__(self, trigram: str) -> int:
+        if len(self) >= _MEMO_CAP:
+            self.clear()
+        bucket = self[trigram] = _bucket(trigram)
+        return bucket
+
+
 class TrigramEmbedder:
     """Hashed character-trigram counts, L2-normalized.
 
@@ -75,14 +91,26 @@ class TrigramEmbedder:
     spaces, so every non-empty normalized text embeds to a unit vector.
     Text that normalizes to the empty string embeds to the zero vector,
     which means "unmatchable text" and must not enter cosines.
+
+    Each embedder hashes a trigram once: it remembers every trigram's
+    bucket and calls :func:`_bucket` only for a trigram it has not seen.
+    The bucket is a pure function of the trigram, so this changes no
+    vector. The memo is bounded by the module constant ``_MEMO_CAP``
+    (65 536 trigrams, about 10 MB), not by a setting: a miss with that
+    many held empties it, and hashing starts over. Answers matched
+    against a 65-name vocabulary hold a few hundred distinct trigrams.
     """
+
+    def __init__(self) -> None:
+        self._buckets = _BucketMemo()
 
     def embed(self, text: str) -> np.ndarray:
         normalized = normalize_text(text)
         if not normalized:
             return np.zeros(TRIGRAM_DIM)
         padded = normalized.ljust(3)
-        buckets = [_bucket(padded[i : i + 3]) for i in range(len(padded) - 2)]
+        memo = self._buckets
+        buckets = [memo[padded[i : i + 3]] for i in range(len(padded) - 2)]
         # Small integer counts, so ``vec @ vec`` is exact in any order.
         vec = np.bincount(buckets, minlength=TRIGRAM_DIM).astype(np.float64)
         vec /= math.sqrt(float(vec @ vec))

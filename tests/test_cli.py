@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relidistill.cli import main, parse_stage_configs
@@ -394,22 +394,31 @@ FUZZ_CHECKPOINT = (
 FUZZ_FEATURES = b'sample_id,f0,f1,label\ns0,0.5,-1.25,0\n"s,1",1e-3,2,1\ns2,3,0,1\n'
 
 
-def eval_exits_cleanly(checkpoint_bytes: bytes, features_bytes: bytes) -> None:
+def eval_exits_cleanly(
+    checkpoint_bytes: bytes, features_bytes: bytes, labels_bytes: bytes | None = None
+) -> int:
     """``eval`` either scores or fails with exit 3 and an error line, never a
-    traceback, and a failure writes no --out file."""
+    traceback, and a failure writes no file. ``labels_bytes``, when given,
+    is the --labels CSV. Returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
-        checkpoint, features, out = (
-            Path(tmp) / name for name in ("model.bin", "features.csv", "acc.json")
+        checkpoint, features, labels, out = (
+            Path(tmp) / name for name in ("model.bin", "features.csv", "labels.csv", "acc.json")
         )
         checkpoint.write_bytes(checkpoint_bytes)
         features.write_bytes(features_bytes)
+        argv = ["eval", str(checkpoint), str(features), "--out", str(out)]
+        if labels_bytes is not None:
+            labels.write_bytes(labels_bytes)
+            argv += ["--labels", str(labels)]
+        inputs = sorted(Path(tmp).iterdir())
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["eval", str(checkpoint), str(features), "--out", str(out)])
+            code = main(argv)
         assert code in (0, 3)
         if code != 0:
             assert err.getvalue().startswith("error:")
-            assert not out.exists()
+            assert sorted(Path(tmp).iterdir()) == inputs
+        return code
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,6 +431,24 @@ def test_eval_fuzzed_checkpoint_exits_cleanly(checkpoint_bytes):
 @given(mutated_bytes(FUZZ_FEATURES))
 def test_eval_fuzzed_features_exit_cleanly(features_bytes):
     eval_exits_cleanly(FUZZ_CHECKPOINT, features_bytes)
+
+
+# FUZZ_FEATURES without its label column, and the labels as a --labels
+# CSV; the quoted id lets mutations reach the CSV quoting rules.
+FUZZ_UNLABELED_FEATURES = b'sample_id,f0,f1\ns0,0.5,-1.25\n"s,1",1e-3,2\ns2,3,0\n'
+FUZZ_LABELS = b'sample_id,label\ns0,0\n"s,1",1\ns2,1\n'
+
+
+def test_eval_fuzz_seeds_score():
+    # The unmutated fuzz inputs score: mutations start from a passing run.
+    assert eval_exits_cleanly(FUZZ_CHECKPOINT, FUZZ_FEATURES) == 0
+    assert eval_exits_cleanly(FUZZ_CHECKPOINT, FUZZ_UNLABELED_FEATURES, FUZZ_LABELS) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_LABELS))
+def test_eval_fuzzed_labels_exit_cleanly(labels_bytes):
+    eval_exits_cleanly(FUZZ_CHECKPOINT, FUZZ_UNLABELED_FEATURES, labels_bytes)
 
 
 def set_label(pl_csv: Path, line: int, value: str) -> None:
@@ -726,6 +753,45 @@ class TestTrainEval:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "source, value",
+        [("labels-file", "99"), ("labels-file", "-7"), ("label-column", "99"),
+         ("label-column", "-4"), ("label-column", "3")],
+    )
+    def test_eval_truth_label_outside_classes_exit_3(self, tmp_path, capsys, source, value):
+        # A 3-class checkpoint scored these as {"accuracy": 0.0} with exit 0;
+        # a -4 in the label column exited 3 naming neither file nor line.
+        checkpoint, out = tmp_path / "model.bin", tmp_path / "acc.json"
+        save_checkpoint(init_student([2, 4, 3], seed=1), checkpoint)
+        features, labels = tmp_path / "features.csv", tmp_path / "labels.csv"
+        if source == "labels-file":
+            features.write_text("sample_id,f0,f1\na,0.5,1\nb,1,0\n", encoding="utf-8")
+            named, flags = labels, ["--labels", str(labels)]
+            template = "sample_id,label\na,2\nb,{}\n"
+        else:
+            named, flags = features, []
+            template = "sample_id,f0,f1,label\na,0.5,1,2\nb,1,0,{}\n"
+        argv = ["eval", str(checkpoint), str(features), *flags, "--out", str(out)]
+        named.write_text(template.format(value), encoding="utf-8")
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {named}:3: labels must lie in 0..2, got [{value}]"
+        )
+        assert not out.exists()
+        # The last class is a truth label like any other.
+        named.write_text(template.format(2), encoding="utf-8")
+        assert main(argv) == 0
+
+    def test_train_truth_label_outside_vocab_exit_3(self, pipeline_dir, tmp_path, capsys):
+        # The label column is the truth the stage accuracies are scored on.
+        out = tmp_path / "out"
+        config = write_run_config(tmp_path, pipeline_dir, out)
+        set_label(pipeline_dir / "features.csv", 3, str(SIM_SPEC["n_classes"]))
+        assert main(["train", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pipeline_dir / 'features.csv'}:3: labels must lie in 0..3")
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_simulate_outputs_consistent(self, pipeline_dir):
@@ -746,6 +812,16 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: class_names length must equal n_classes")
+        assert not out.exists()
+
+    def test_unaffordable_dim_exit_4_creates_nothing(self, tmp_path, capsys):
+        # A (dim, dim) matrix of 8e16 bytes, past any address space: the
+        # MemoryError escaped cli.main with a traceback (exit 1).
+        spec = tmp_path / "sim.json"
+        spec.write_text(json.dumps({**SIM_SPEC, "dim": 10**8}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(spec), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
         assert not out.exists()
 
     def test_simulate_rerun_identical(self, tmp_path):
@@ -982,3 +1058,116 @@ class TestStrictConfigs:
         assert main(["train", "--config", str(path)]) == 2
         assert "hidden_dims" in capsys.readouterr().err
         assert not out.exists()
+
+
+# A valid simulate config; its non-ASCII class name lets mutations reach
+# the UTF-8 checks.
+FUZZ_SIM_CONFIG = json.dumps(
+    {
+        "n_samples": 12, "n_classes": 3, "dim": 2, "spread": 0.5, "seed": 5,
+        "teachers": [
+            {"accuracy": 0.9},
+            {"accuracy": 0.7, "confusion": "adjacent-class", "correlation": 0.3},
+        ],
+        "class_names": ["car", "café", "bus"],
+    },
+    ensure_ascii=False,
+).encode("utf-8")
+
+# The fixed inputs of the train fuzz: 9 samples of 3 classes that all,
+# two or no teachers agree on. The part mutated is a train config's object
+# without "paths" and without its closing brace (see config_exits_cleanly).
+FUZZ_TRAIN_INPUTS = {
+    "features.csv": "sample_id,f0,f1,label\n" + "".join(
+        f"s{i},{(i % 3) - 1},{(i * 7 % 5) / 4},{i % 3}\n" for i in range(9)
+    ),
+    "pl.csv": "sample_id,teacher_0,teacher_1,teacher_2\n" + "".join(
+        f"s{i},{i % 3},{i % 3 if i < 6 else (i + 1) % 3},{i % 3 if i < 3 else (i + 2) % 3}\n"
+        for i in range(9)
+    ),
+    "vocab.txt": "car\nbus\nvan\n",
+}
+FUZZ_TRAIN_CONFIG = json.dumps(
+    {
+        "seed": 3,
+        "hidden_dims": [4],
+        "stages": [
+            {"stage": "RKT", "learning_rate": 0.01, "batch_size": 4, "max_iter": 6},
+            {"stage": "SMKE", "learning_rate": 0.01, "batch_size": 4, "max_iter": 6, "tau": 0.7},
+            {"stage": "MMR", "learning_rate": 0.01, "batch_size": 4, "max_iter": 6, "tau": 0.9,
+             "lambda_cons": 0.5},
+        ],
+        "augment": {"sigma_weak": 0.05, "sigma_strong": 0.2, "p_drop": 0.1},
+    }
+).encode("utf-8")[:-1]
+
+
+def affordable(config: bytes) -> bool:
+    """Whether ``config``, where it parses, asks for at most 1 000 of anything
+    (samples, dims, classes, hidden units, batch rows, iterations). A few
+    inserted digits turn a size of 2 into 29 999, and simulate's class
+    centers take a (dim, dim) matrix; such a config asks more of the machine
+    than a test may, so it is not run. A seed may take any value."""
+
+    def too_big(value, key=None) -> bool:
+        if isinstance(value, dict):
+            return any(too_big(v, k) for k, v in value.items())
+        if isinstance(value, list):
+            return any(too_big(v, key) for v in value)
+        return type(value) is int and key != "seed" and value > 1000
+
+    try:
+        return not too_big(json.loads(config.decode("utf-8")))
+    except ValueError:  # neither UTF-8 nor JSON: the command rejects it
+        return True
+
+
+def config_exits_cleanly(command: str, config: bytes) -> int:
+    """``simulate`` or ``train`` with ``config`` either runs or fails with
+    exit 2, 3 or 4 and an error line, never a traceback. Every path it
+    names lies in its temp directory, and a failure adds no file there,
+    except that a train stage failing after the first checkpoint keeps the
+    checkpoints of the stages before it (see run_curriculum). For train,
+    ``config`` is an object left open, to which the inputs' "paths" and the
+    closing brace are appended: a key is taken from its last occurrence, so
+    no mutation can point a path elsewhere. Returns the exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp, out = Path(tmp), Path(tmp) / "out"
+        if command == "train":
+            for name, text in FUZZ_TRAIN_INPUTS.items():
+                (tmp / name).write_text(text, encoding="utf-8")
+            paths = {key: str(tmp / name) for key, name in
+                     [("features", "features.csv"), ("pseudo_labels", "pl.csv"),
+                      ("vocab", "vocab.txt"), ("output_dir", "out")]}
+            config = config + b', "paths": ' + json.dumps(paths).encode("utf-8") + b"}"
+        (tmp / "config.json").write_bytes(config)
+        inputs = set(tmp.rglob("*"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(tmp / "config.json"), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert err.getvalue().startswith("error:")
+            kept = {out, out / "checkpoint_rkt.bin", out / "checkpoint_smke.bin"}
+            assert set(tmp.rglob("*")) - inputs <= (kept if code == 4 else set())
+        return code
+
+
+def test_config_fuzz_seeds_run():
+    # The unmutated fuzz configs run: mutations start from passing runs.
+    assert config_exits_cleanly("simulate", FUZZ_SIM_CONFIG) == 0
+    assert config_exits_cleanly("train", FUZZ_TRAIN_CONFIG) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_SIM_CONFIG))
+def test_simulate_fuzzed_config_exits_cleanly(config_bytes):
+    assume(affordable(config_bytes))
+    config_exits_cleanly("simulate", config_bytes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_TRAIN_CONFIG))
+def test_train_fuzzed_config_exits_cleanly(config_bytes):
+    assume(affordable(config_bytes + b"}"))
+    config_exits_cleanly("train", config_bytes)

@@ -19,6 +19,8 @@ from relidistill.errors import (
 from relidistill import text_match
 from relidistill.text_match import TRIGRAM_DIM, _bucket, _class_side, normalize_text
 
+from conftest import OBJECT_VOCAB_65
+
 
 def naive_trigram_cosine(a: str, b: str) -> float:
     """Collision-free dict-count trigram cosine; oracle for the embedder."""
@@ -623,6 +625,11 @@ def per_trigram_embed(text: str) -> np.ndarray:
     return vec
 
 
+SHARED_EMBEDDER = rd.TrigramEmbedder()
+for _name in OBJECT_VOCAB_65:
+    SHARED_EMBEDDER.embed(_name)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.one_of(
@@ -632,7 +639,48 @@ def per_trigram_embed(text: str) -> np.ndarray:
     )
 )
 def test_embed_equals_per_trigram_counts(text):
-    assert rd.TrigramEmbedder().embed(text).tobytes() == per_trigram_embed(text).tobytes()
+    expected = per_trigram_embed(text).tobytes()
+    assert rd.TrigramEmbedder().embed(text).tobytes() == expected
+    # One embedder across all examples, its memo warmed by the 65 names
+    # and by every earlier example.
+    assert SHARED_EMBEDDER.embed(text).tobytes() == expected
+
+
+class TestBucketHash:
+    """The hash the embedder's memo caches, pinned apart from the
+    per_trigram_embed oracle (which calls _bucket itself)."""
+
+    @pytest.mark.parametrize(
+        "trigram, bucket",
+        [
+            # The published FNV-1a-64 vectors 0xaf63dc4c8601ec8c ("a") and
+            # 0x85944171f73967e8 ("foobar"), times the golden ratio, top 12 bits.
+            ("a", 1548),
+            ("foobar", 2158),
+            ("\u4e2d\u6587\u5b57", 2152),  # 9 UTF-8 bytes
+        ],
+    )
+    def test_pinned_buckets(self, trigram, bucket):
+        assert _bucket(trigram) == bucket
+
+    def test_embedding_order_does_not_change_vectors(self):
+        names = list(OBJECT_VOCAB_65)
+        forward, backward = rd.TrigramEmbedder(), rd.TrigramEmbedder()
+        first = {name: forward.embed(name).tobytes() for name in names}
+        second = {name: backward.embed(name).tobytes() for name in reversed(names)}
+        assert first == second
+
+    def test_memo_is_emptied_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(text_match, "_MEMO_CAP", 8)
+        embedder = rd.TrigramEmbedder()
+        sizes = []
+        for name in OBJECT_VOCAB_65:
+            vec = embedder.embed(name)
+            sizes.append(len(embedder._buckets))
+            assert vec.tobytes() == rd.TrigramEmbedder().embed(name).tobytes()
+        assert max(sizes) == 8
+        # Emptied at least once: a size fell from one name to the next.
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 TEMPLATES = (
