@@ -171,9 +171,7 @@ def multi_hot_mask(row, n_classes: int) -> np.ndarray:
     row = _check_row(row)
     if np.any(row >= n_classes):
         raise DataError(f"label out of range for {n_classes} classes")
-    mask = np.zeros(n_classes, dtype=bool)
-    mask[row] = True
-    return mask
+    return _class_counts(row[None, :], n_classes)[0] > 0
 
 
 def multi_hot_masks(matrix: PseudoLabelMatrix) -> np.ndarray:

@@ -195,11 +195,12 @@ def _train_stage(
     )
 
 
-def _smke_labels(probs: np.ndarray, teacher: np.ndarray, tau: float):
-    """Stage-2 rule: the student's argmax where its confidence reaches
-    ``tau``, else the teachers' label; returns (labels, student_flags)."""
-    use_student = probs.max(axis=1) >= tau
-    return np.where(use_student, probs.argmax(axis=1), teacher), use_student
+def _confidence_gate(probs: np.ndarray, tau: float, fallback: np.ndarray):
+    """The label rule of stages 2 and 3: the student's argmax where its max
+    probability reaches ``tau``, else ``fallback`` (SMKE: the teachers' mode;
+    MMR: the masked argmax); returns (labels, confident_flags)."""
+    confident = probs.max(axis=1) >= tau
+    return np.where(confident, probs.argmax(axis=1), fallback).astype(np.int64), confident
 
 
 def mmr_refine(
@@ -220,9 +221,7 @@ def mmr_refine(
 
 def _refine_batch(probs: np.ndarray, masks: np.ndarray, tau: float):
     """Vectorized stage-3 refinement; returns (labels, confident_flags)."""
-    confident = probs.max(axis=1) >= tau
-    labels = np.where(confident, probs.argmax(axis=1), (probs * masks).argmax(axis=1))
-    return labels.astype(np.int64), confident
+    return _confidence_gate(probs, tau, (probs * masks).argmax(axis=1))
 
 
 def run_rkt(
@@ -274,7 +273,7 @@ def run_smke(
 
     def batch_loss(iteration, batch):
         probs = predict_proba(model, X[batch])
-        labels, use_student = _smke_labels(probs, teacher_mode[batch], cfg.tau)
+        labels, use_student = _confidence_gate(probs, cfg.tau, teacher_mode[batch])
         sources["student"] += int(use_student.sum())
         sources["teacher"] += int((~use_student).sum())
         return loss_and_grads(model, X[batch], labels)

@@ -158,8 +158,11 @@ def make_blobs(
     """Isotropic Gaussian class blobs with balanced labels.
 
     ``spread`` is the per-coordinate noise standard deviation. Features
-    are rounded to float32 so in-memory data matches a file round-trip.
+    are rounded to float32 so in-memory data matches a file round-trip;
+    a spread whose features overflow float32 (``1e300``) raises.
     """
+    if dim < 1:
+        raise ConfigError("dim must be at least 1")
     if n_classes < 2:
         raise ConfigError("need at least 2 classes")
     if n_samples < n_classes:
@@ -171,7 +174,11 @@ def make_blobs(
     base = np.arange(n_samples) % n_classes  # balanced up to the remainder
     labels = base[rng.permutation(n_samples)]
     features = centers[labels] + rng.normal(0.0, spread, (n_samples, dim))
-    features = features.astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, rejected below
+        features = features.astype(np.float32)
+    if not np.isfinite(features).all():
+        raise ConfigError(f"spread {spread}: features do not fit float32")
+    features = features.astype(np.float64)
     return FeatureDataset(
         sample_ids=[f"s{i:05d}" for i in range(n_samples)],
         features=features,

@@ -245,9 +245,10 @@ class ClassVocab:
 
     ``name_index`` maps each normalized name to its class; names must be
     distinct and non-empty after :func:`normalize_text`, the same folding
-    the verbatim short-circuit and the trigram embedder apply. Class-name
-    embeddings are not stored: :meth:`class_matrix` derives them from the
-    backend that embeds the responses.
+    the verbatim short-circuit and the trigram embedder apply, and hold no
+    line break (``\\n`` or ``\\r``), as the vocabulary file is one name per
+    line. Class-name embeddings are not stored: :meth:`class_matrix`
+    derives them from the backend that embeds the responses.
     """
 
     names: list[str]
@@ -255,6 +256,9 @@ class ClassVocab:
     def __post_init__(self):
         if len(self.names) < 2:
             raise ConfigError("a class vocabulary needs at least 2 classes")
+        for name in self.names:
+            if "\n" in name or "\r" in name:
+                raise ConfigError(f"class name {name!r} holds a line break")
         normalized = [normalize_text(name) for name in self.names]
         if not all(normalized):
             raise ConfigError("class names must be non-empty after normalization")

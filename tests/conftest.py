@@ -18,6 +18,20 @@ OBJECT_VOCAB_65 = [
     "television", "vacuum cleaner", "webcam", "window",
 ]
 
+# Free-text answer shapes: ``{x}`` is an optional modifier followed by a
+# class name, ``{a}`` its article (see free_text_answer).
+TEMPLATES = (
+    "just {x}", "It is {a} {x}.", "I think this is {a} {x}", "Looks like {a} {x} to me!",
+    "probably {a} {x}, or maybe not", "The object is {a} {x}.",
+)
+MODIFIERS = ("", "small", "red", "old wooden", "broken", "shiny new")
+
+
+def free_text_answer(template: str, modifier: str, name: str) -> str:
+    """A teacher's free-text answer naming class ``name``."""
+    x = f"{modifier} {name}".strip()
+    return template.format(a="an" if x[0] in "aeiou" else "a", x=x)
+
 
 @pytest.fixture(scope="session")
 def object_vocab():

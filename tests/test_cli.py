@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import struct
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -274,181 +276,6 @@ class TestLabel:
             ]
         )
         assert code == 3
-
-
-# A valid teachers file: verbatim, free-text, unmatchable and escaped
-# answers, so mutations reach every reader and labeling branch.
-FUZZ_VOCAB = "car\nbicycle\nkettle\n"
-FUZZ_RECORDS = "".join(
-    json.dumps({"sample_id": sid, "teacher": t, "text": text}) + "\n"
-    for sid, t, text in [
-        ("s0", 0, "car"), ("s0", 1, "a red car"), ("s1", 0, "Kettle."),
-        ("s1", 1, "caf\u00e9 bike"), ("s2", 1, "?!"), ("s2", 0, "bicycle"),
-    ]
-).encode("utf-8")
-
-
-@st.composite
-def mutated_bytes(draw, data: bytes) -> bytes:
-    """``data`` with a few bytes flipped, inserted or deleted, maybe truncated."""
-    out = bytearray(data)
-    for _ in range(draw(st.integers(1, 4))):
-        op = draw(st.sampled_from(("flip", "insert", "delete")))
-        pos = draw(st.integers(0, max(len(out) - 1, 0)))
-        if op == "insert":
-            out.insert(pos, draw(st.integers(0, 255)))
-        elif op == "flip" and out:
-            out[pos] ^= 1 << draw(st.integers(0, 7))
-        elif op == "delete" and out:
-            del out[pos]
-    if draw(st.booleans()):
-        del out[draw(st.integers(0, len(out))):]
-    return bytes(out)
-
-
-def label_exits_cleanly(records: bytes, vocab: bytes, table: bytes | None = None) -> str | None:
-    """``label`` either labels or fails with exit 2 or 3 and an error line,
-    never a traceback, and a failure writes no --out file. ``table``, when
-    given, is the precomputed backend's TSV. Returns the pl.csv written,
-    or None after a failure."""
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = {name: Path(tmp) / name for name in ("v.txt", "t.jsonl", "e.tsv", "pl.csv")}
-        paths["v.txt"].write_bytes(vocab)
-        paths["t.jsonl"].write_bytes(records)
-        argv = ["label", str(paths["t.jsonl"]), str(paths["v.txt"]), "--out", str(paths["pl.csv"])]
-        if table is not None:
-            paths["e.tsv"].write_bytes(table)
-            argv += ["--backend", f"precomputed:{paths['e.tsv']}"]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        assert code in (0, 2, 3)
-        if code != 0:
-            assert err.getvalue().startswith("error:")
-            assert not paths["pl.csv"].exists()
-            return None
-        return paths["pl.csv"].read_text(encoding="utf-8")
-
-
-@settings(max_examples=60, deadline=None)
-@given(mutated_bytes(FUZZ_RECORDS))
-def test_label_fuzzed_teacher_records_exit_cleanly(records_bytes):
-    label_exits_cleanly(records_bytes, FUZZ_VOCAB.encode("utf-8"))
-
-
-# A valid table for FUZZ_VOCAB and FUZZ_RECORDS: it covers every class
-# name, misses one answer and holds a zero vector, and its non-ASCII key
-# lets mutations reach the UTF-8 check.
-FUZZ_TABLE = (
-    "car\t1 0 0\nbicycle\t0 1 0\nkettle\t0 0 1\na red car\t0.9 0.1 0\n"
-    "Kettle.\t0 0.25 1e-3\ncaf\u00e9 bike\t0.2 0.7 -0.1\n?!\t0 0 0\n"
-).encode("utf-8")
-
-
-@settings(max_examples=60, deadline=None)
-@given(mutated_bytes(FUZZ_VOCAB.encode("utf-8")))
-def test_label_fuzzed_vocab_exits_cleanly(vocab_bytes):
-    label_exits_cleanly(FUZZ_RECORDS, vocab_bytes)
-
-
-@settings(max_examples=60, deadline=None)
-@given(mutated_bytes(FUZZ_TABLE))
-def test_label_fuzzed_precomputed_table_exits_cleanly(table_bytes):
-    label_exits_cleanly(FUZZ_RECORDS, FUZZ_VOCAB.encode("utf-8"), table_bytes)
-
-
-def test_label_valid_precomputed_table_fuzz_seed_labels():
-    # The unmutated fuzz inputs label: mutations start from a passing run.
-    pl_csv = label_exits_cleanly(FUZZ_RECORDS, FUZZ_VOCAB.encode("utf-8"), FUZZ_TABLE)
-    assert pl_csv.splitlines()[1:] == ["s0,0,0", "s1,2,1"]
-
-
-# A valid pl.csv; its quoted id lets mutations reach the CSV quoting rules.
-FUZZ_PSEUDO_LABELS = (
-    b'sample_id,teacher_0,teacher_1,teacher_2\ns0,1,1,1\n"s,1",0,2,1\ns2,2,0,0\ns3,0,1,2\n'
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(mutated_bytes(FUZZ_PSEUDO_LABELS))
-def test_partition_fuzzed_pseudo_labels_exit_cleanly(pl_bytes):
-    # Every damaged pl.csv either partitions or fails with an exit code and
-    # an error line, never a traceback, and a failure writes no --out file.
-    with tempfile.TemporaryDirectory() as tmp:
-        pl, out = Path(tmp) / "pl.csv", Path(tmp) / "part.csv"
-        pl.write_bytes(pl_bytes)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["partition", str(pl), "--out", str(out)])
-        assert code in (0, 2, 3)
-        if code != 0:
-            assert err.getvalue().startswith("error:")
-            assert not out.exists()
-
-
-# A valid [2, 3, 2] checkpoint (17 parameters) and a features file it
-# evaluates; the quoted id lets mutations reach the CSV quoting rules.
-FUZZ_CHECKPOINT = (
-    b"RCLM0001" + struct.pack("<4Q", 3, 2, 3, 2) + np.linspace(-1, 1, 17, dtype="<f4").tobytes()
-)
-FUZZ_FEATURES = b'sample_id,f0,f1,label\ns0,0.5,-1.25,0\n"s,1",1e-3,2,1\ns2,3,0,1\n'
-
-
-def eval_exits_cleanly(
-    checkpoint_bytes: bytes, features_bytes: bytes, labels_bytes: bytes | None = None
-) -> int:
-    """``eval`` either scores or fails with exit 3 and an error line, never a
-    traceback, and a failure writes no file. ``labels_bytes``, when given,
-    is the --labels CSV. Returns the exit code."""
-    with tempfile.TemporaryDirectory() as tmp:
-        checkpoint, features, labels, out = (
-            Path(tmp) / name for name in ("model.bin", "features.csv", "labels.csv", "acc.json")
-        )
-        checkpoint.write_bytes(checkpoint_bytes)
-        features.write_bytes(features_bytes)
-        argv = ["eval", str(checkpoint), str(features), "--out", str(out)]
-        if labels_bytes is not None:
-            labels.write_bytes(labels_bytes)
-            argv += ["--labels", str(labels)]
-        inputs = sorted(Path(tmp).iterdir())
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        assert code in (0, 3)
-        if code != 0:
-            assert err.getvalue().startswith("error:")
-            assert sorted(Path(tmp).iterdir()) == inputs
-        return code
-
-
-@settings(max_examples=60, deadline=None)
-@given(mutated_bytes(FUZZ_CHECKPOINT))
-def test_eval_fuzzed_checkpoint_exits_cleanly(checkpoint_bytes):
-    eval_exits_cleanly(checkpoint_bytes, FUZZ_FEATURES)
-
-
-@settings(max_examples=60, deadline=None)
-@given(mutated_bytes(FUZZ_FEATURES))
-def test_eval_fuzzed_features_exit_cleanly(features_bytes):
-    eval_exits_cleanly(FUZZ_CHECKPOINT, features_bytes)
-
-
-# FUZZ_FEATURES without its label column, and the labels as a --labels
-# CSV; the quoted id lets mutations reach the CSV quoting rules.
-FUZZ_UNLABELED_FEATURES = b'sample_id,f0,f1\ns0,0.5,-1.25\n"s,1",1e-3,2\ns2,3,0\n'
-FUZZ_LABELS = b'sample_id,label\ns0,0\n"s,1",1\ns2,1\n'
-
-
-def test_eval_fuzz_seeds_score():
-    # The unmutated fuzz inputs score: mutations start from a passing run.
-    assert eval_exits_cleanly(FUZZ_CHECKPOINT, FUZZ_FEATURES) == 0
-    assert eval_exits_cleanly(FUZZ_CHECKPOINT, FUZZ_UNLABELED_FEATURES, FUZZ_LABELS) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(mutated_bytes(FUZZ_LABELS))
-def test_eval_fuzzed_labels_exit_cleanly(labels_bytes):
-    eval_exits_cleanly(FUZZ_CHECKPOINT, FUZZ_UNLABELED_FEATURES, labels_bytes)
 
 
 def set_label(pl_csv: Path, line: int, value: str) -> None:
@@ -824,6 +651,26 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: out of memory: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("dim", -1, "dim must be at least 1"), ("dim", 0, "dim must be at least 1"),
+         ("spread", 1e300, "features do not fit float32"),
+         ("class_names", ["left\nright", "up", "down", "back"], "holds a line break"),
+         ("class_names", ["left", "up\rdown", "x", "y"], "holds a line break")],
+        ids=["dim-negative", "dim-zero", "spread-beyond-float32", "name-with-LF", "name-with-CR"],
+    )
+    def test_value_simulate_cannot_write_exit_2_creates_nothing(
+        self, tmp_path, capsys, key, value, message
+    ):
+        # dim -1 escaped as ValueError (exit 1); dim 0 and spread 1e300 (after
+        # a numpy overflow warning) exited 3 as data errors; a name holding
+        # "\n" exited 0 with a vocab.txt of more lines than classes.
+        spec, out = tmp_path / "sim.json", tmp_path / "out"
+        spec.write_text(json.dumps({**SIM_SPEC, key: value}), encoding="utf-8")
+        assert main(["simulate", "--config", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and not out.exists()
+
     def test_simulate_rerun_identical(self, tmp_path):
         spec_path = tmp_path / "sim.json"
         spec_path.write_text(json.dumps(SIM_SPEC), encoding="utf-8")
@@ -1060,6 +907,46 @@ class TestStrictConfigs:
         assert not out.exists()
 
 
+# The CLI boundary under fuzz. Each input kind below has valid seed
+# files; a fuzz test runs the kind's command with one of them mutated,
+# through run_cli, which checks the one contract every kind shares.
+
+# A valid teachers file: verbatim, free-text, unmatchable and escaped
+# answers, so mutations reach every reader and labeling branch.
+FUZZ_VOCAB = b"car\nbicycle\nkettle\n"
+FUZZ_RECORDS = "".join(
+    json.dumps({"sample_id": sid, "teacher": t, "text": text}) + "\n"
+    for sid, t, text in [
+        ("s0", 0, "car"), ("s0", 1, "a red car"), ("s1", 0, "Kettle."),
+        ("s1", 1, "caf\u00e9 bike"), ("s2", 1, "?!"), ("s2", 0, "bicycle"),
+    ]
+).encode("utf-8")
+
+# A valid table for FUZZ_VOCAB and FUZZ_RECORDS: it covers every class
+# name, misses one answer and holds a zero vector, and its non-ASCII key
+# lets mutations reach the UTF-8 check.
+FUZZ_TABLE = (
+    "car\t1 0 0\nbicycle\t0 1 0\nkettle\t0 0 1\na red car\t0.9 0.1 0\n"
+    "Kettle.\t0 0.25 1e-3\ncaf\u00e9 bike\t0.2 0.7 -0.1\n?!\t0 0 0\n"
+).encode("utf-8")
+
+# A valid pl.csv; its quoted id lets mutations reach the CSV quoting rules.
+FUZZ_PSEUDO_LABELS = (
+    b'sample_id,teacher_0,teacher_1,teacher_2\ns0,1,1,1\n"s,1",0,2,1\ns2,2,0,0\ns3,0,1,2\n'
+)
+
+# A valid [2, 3, 2] checkpoint (17 parameters) and a features file it
+# evaluates; the quoted id lets mutations reach the CSV quoting rules.
+FUZZ_CHECKPOINT = (
+    b"RCLM0001" + struct.pack("<4Q", 3, 2, 3, 2) + np.linspace(-1, 1, 17, dtype="<f4").tobytes()
+)
+FUZZ_FEATURES = b'sample_id,f0,f1,label\ns0,0.5,-1.25,0\n"s,1",1e-3,2,1\ns2,3,0,1\n'
+
+# FUZZ_FEATURES without its label column, and the labels as a --labels
+# CSV; the quoted id lets mutations reach the CSV quoting rules.
+FUZZ_UNLABELED_FEATURES = b'sample_id,f0,f1\ns0,0.5,-1.25\n"s,1",1e-3,2\ns2,3,0\n'
+FUZZ_LABELS = b'sample_id,label\ns0,0\n"s,1",1\ns2,1\n'
+
 # A valid simulate config; its non-ASCII class name lets mutations reach
 # the UTF-8 checks.
 FUZZ_SIM_CONFIG = json.dumps(
@@ -1075,8 +962,10 @@ FUZZ_SIM_CONFIG = json.dumps(
 ).encode("utf-8")
 
 # The fixed inputs of the train fuzz: 9 samples of 3 classes that all,
-# two or no teachers agree on. The part mutated is a train config's object
-# without "paths" and without its closing brace (see config_exits_cleanly).
+# two or no teachers agree on. The part mutated is a train config's
+# object without "paths" and without its closing brace; FUZZ_TRAIN_PATHS
+# closes it, and as a key is taken from its last occurrence, no mutation
+# can point a path out of the directory the command runs in.
 FUZZ_TRAIN_INPUTS = {
     "features.csv": "sample_id,f0,f1,label\n" + "".join(
         f"s{i},{(i % 3) - 1},{(i * 7 % 5) / 4},{i % 3}\n" for i in range(9)
@@ -1100,6 +989,88 @@ FUZZ_TRAIN_CONFIG = json.dumps(
         "augment": {"sigma_weak": 0.05, "sigma_strong": 0.2, "p_drop": 0.1},
     }
 ).encode("utf-8")[:-1]
+FUZZ_TRAIN_PATHS = (
+    b', "paths": {"features": "features.csv", "pseudo_labels": "pl.csv", "vocab": "vocab.txt"}}'
+)
+
+
+class FuzzKind(NamedTuple):
+    """A command under fuzz: its command line, the exit codes it may give,
+    its seed files (name -> bytes; the command line names them relative to
+    the directory it runs in), and the paths a failure with exit 4 may
+    leave (a failing train stage keeps the checkpoints of those before it)."""
+
+    argv: str
+    codes: set[int]
+    files: dict[str, bytes]
+    kept_on_exit_4: tuple[str, ...] = ()
+
+
+FUZZ_KINDS = {
+    "label": FuzzKind("label t.jsonl v.txt --out pl.csv", {0, 2, 3},
+                      {"t.jsonl": FUZZ_RECORDS, "v.txt": FUZZ_VOCAB}),
+    "label-precomputed": FuzzKind(
+        "label t.jsonl v.txt --backend precomputed:e.tsv --out pl.csv", {0, 2, 3},
+        {"t.jsonl": FUZZ_RECORDS, "v.txt": FUZZ_VOCAB, "e.tsv": FUZZ_TABLE},
+    ),
+    "partition": FuzzKind("partition pl.csv --out part.csv", {0, 2, 3},
+                          {"pl.csv": FUZZ_PSEUDO_LABELS}),
+    "eval": FuzzKind("eval model.bin features.csv --out acc.json", {0, 3},
+                     {"model.bin": FUZZ_CHECKPOINT, "features.csv": FUZZ_FEATURES}),
+    "eval-labels": FuzzKind(
+        "eval model.bin features.csv --labels labels.csv --out acc.json", {0, 3},
+        {"model.bin": FUZZ_CHECKPOINT, "features.csv": FUZZ_UNLABELED_FEATURES,
+         "labels.csv": FUZZ_LABELS},
+    ),
+    "simulate": FuzzKind("simulate --config config.json --out out", {0, 2, 4},
+                         {"config.json": FUZZ_SIM_CONFIG}),
+    "train": FuzzKind(
+        "train --config config.json --out out", {0, 2, 3, 4},
+        {**{name: text.encode("utf-8") for name, text in FUZZ_TRAIN_INPUTS.items()},
+         "config.json": FUZZ_TRAIN_CONFIG + FUZZ_TRAIN_PATHS},
+        ("out", "out/checkpoint_rkt.bin", "out/checkpoint_smke.bin"),
+    ),
+}
+
+
+def run_cli(kind: str, replaced: dict[str, bytes] | None = None) -> tuple[int, dict[str, bytes]]:
+    """Run ``FUZZ_KINDS[kind]``'s command in a fresh directory holding its
+    seed files, ``replaced`` written over them, and check the contract of
+    the CLI boundary: the exit code is one of the kind's (never a
+    traceback); a failure's stderr starts with ``error:``; and after a
+    failure the directory, searched recursively, holds exactly the paths
+    it held before, except what the kind may keep after exit 4. Returns
+    the exit code and the bytes of each file the run added."""
+    row = FUZZ_KINDS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, content in {**row.files, **(replaced or {})}.items():
+            (tmp / name).write_bytes(content)
+        before = set(tmp.rglob("*"))
+        err, cwd = io.StringIO(), os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(row.argv.split())
+        finally:
+            os.chdir(cwd)
+        assert code in row.codes, err.getvalue()
+        after = set(tmp.rglob("*"))
+        if code != 0:
+            assert err.getvalue().startswith("error:")
+            kept = {tmp / name for name in row.kept_on_exit_4} if code == 4 else set()
+            assert after - kept == before
+        added = (p for p in after - before if p.is_file())
+        return code, {str(p.relative_to(tmp)): p.read_bytes() for p in added}
+
+
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
+def test_fuzz_seed_inputs_exit_0(kind):
+    # Mutations start from a passing run, so no fuzz passes vacuously.
+    code, written = run_cli(kind)
+    assert code == 0
+    if kind == "label-precomputed":
+        assert written["pl.csv"].decode("utf-8").splitlines()[1:] == ["s0,0,0", "s1,2,1"]
 
 
 def affordable(config: bytes) -> bool:
@@ -1122,52 +1093,75 @@ def affordable(config: bytes) -> bool:
         return True
 
 
-def config_exits_cleanly(command: str, config: bytes) -> int:
-    """``simulate`` or ``train`` with ``config`` either runs or fails with
-    exit 2, 3 or 4 and an error line, never a traceback. Every path it
-    names lies in its temp directory, and a failure adds no file there,
-    except that a train stage failing after the first checkpoint keeps the
-    checkpoints of the stages before it (see run_curriculum). For train,
-    ``config`` is an object left open, to which the inputs' "paths" and the
-    closing brace are appended: a key is taken from its last occurrence, so
-    no mutation can point a path elsewhere. Returns the exit code."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp, out = Path(tmp), Path(tmp) / "out"
-        if command == "train":
-            for name, text in FUZZ_TRAIN_INPUTS.items():
-                (tmp / name).write_text(text, encoding="utf-8")
-            paths = {key: str(tmp / name) for key, name in
-                     [("features", "features.csv"), ("pseudo_labels", "pl.csv"),
-                      ("vocab", "vocab.txt"), ("output_dir", "out")]}
-            config = config + b', "paths": ' + json.dumps(paths).encode("utf-8") + b"}"
-        (tmp / "config.json").write_bytes(config)
-        inputs = set(tmp.rglob("*"))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--config", str(tmp / "config.json"), "--out", str(out)])
-        assert code in (0, 2, 3, 4)
-        if code != 0:
-            assert err.getvalue().startswith("error:")
-            kept = {out, out / "checkpoint_rkt.bin", out / "checkpoint_smke.bin"}
-            assert set(tmp.rglob("*")) - inputs <= (kept if code == 4 else set())
-        return code
+@st.composite
+def mutated_bytes(draw, data: bytes) -> bytes:
+    """``data`` with a few bytes flipped, inserted or deleted, maybe truncated."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("flip", "insert", "delete")))
+        pos = draw(st.integers(0, max(len(out) - 1, 0)))
+        if op == "insert":
+            out.insert(pos, draw(st.integers(0, 255)))
+        elif op == "flip" and out:
+            out[pos] ^= 1 << draw(st.integers(0, 7))
+        elif op == "delete" and out:
+            del out[pos]
+    if draw(st.booleans()):
+        del out[draw(st.integers(0, len(out))):]
+    return bytes(out)
 
 
-def test_config_fuzz_seeds_run():
-    # The unmutated fuzz configs run: mutations start from passing runs.
-    assert config_exits_cleanly("simulate", FUZZ_SIM_CONFIG) == 0
-    assert config_exits_cleanly("train", FUZZ_TRAIN_CONFIG) == 0
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_RECORDS))
+def test_label_fuzzed_teacher_records_exit_cleanly(records_bytes):
+    run_cli("label", {"t.jsonl": records_bytes})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_VOCAB))
+def test_label_fuzzed_vocab_exits_cleanly(vocab_bytes):
+    run_cli("label", {"v.txt": vocab_bytes})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_TABLE))
+def test_label_fuzzed_precomputed_table_exits_cleanly(table_bytes):
+    run_cli("label-precomputed", {"e.tsv": table_bytes})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_PSEUDO_LABELS))
+def test_partition_fuzzed_pseudo_labels_exit_cleanly(pl_bytes):
+    run_cli("partition", {"pl.csv": pl_bytes})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_CHECKPOINT))
+def test_eval_fuzzed_checkpoint_exits_cleanly(checkpoint_bytes):
+    run_cli("eval", {"model.bin": checkpoint_bytes})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_FEATURES))
+def test_eval_fuzzed_features_exit_cleanly(features_bytes):
+    run_cli("eval", {"features.csv": features_bytes})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_bytes(FUZZ_LABELS))
+def test_eval_fuzzed_labels_exit_cleanly(labels_bytes):
+    run_cli("eval-labels", {"labels.csv": labels_bytes})
 
 
 @settings(max_examples=60, deadline=None)
 @given(mutated_bytes(FUZZ_SIM_CONFIG))
 def test_simulate_fuzzed_config_exits_cleanly(config_bytes):
     assume(affordable(config_bytes))
-    config_exits_cleanly("simulate", config_bytes)
+    run_cli("simulate", {"config.json": config_bytes})
 
 
 @settings(max_examples=60, deadline=None)
 @given(mutated_bytes(FUZZ_TRAIN_CONFIG))
 def test_train_fuzzed_config_exits_cleanly(config_bytes):
     assume(affordable(config_bytes + b"}"))
-    config_exits_cleanly("train", config_bytes)
+    run_cli("train", {"config.json": config_bytes + FUZZ_TRAIN_PATHS})

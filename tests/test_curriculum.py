@@ -10,8 +10,8 @@ from relidistill.cli import parse_stage_configs
 from relidistill.consensus import TAG_LESS_RELIABLE, TAG_RELIABLE, partition
 from relidistill.curriculum import (
     STAGE_DEFAULTS,
+    _confidence_gate,
     _refine_batch,
-    _smke_labels,
     run_mmr,
     run_rkt,
     run_smke,
@@ -19,6 +19,9 @@ from relidistill.curriculum import (
 )
 from relidistill.errors import ConfigError, StageError
 from relidistill.student import init_optimizer, loss_and_grads, optimizer_step, predict_proba
+
+from conftest import MODIFIERS, OBJECT_VOCAB_65, TEMPLATES, free_text_answer
+from test_acceptance import ONE_POINT, STAGE_CONFIGS
 
 
 def model_with_confidence(p_max: float, predicted: int, n_classes: int = 3):
@@ -124,7 +127,7 @@ class TestStageConfig:
 
 def smke_rule(model, x, teacher: int, tau: float) -> int:
     """The stage-2 rule for one sample, as ``run_smke`` applies it to a batch."""
-    labels, _ = _smke_labels(predict_proba(model, x), np.array([teacher]), tau)
+    labels, _ = _confidence_gate(predict_proba(model, x), tau, np.array([teacher]))
     return int(labels[0])
 
 
@@ -474,3 +477,29 @@ class TestRunCurriculum:
                 ds, pl, self._configs(), seed=3, checkpoint_dir=tmp_path, warm_start=warm
             )
         assert not (tmp_path / "checkpoint_rkt.bin").exists()
+
+
+def test_free_text_65_classes_gated_like_criterion_6(object_vocab):
+    # The paper's own setting: 65 classes, and teachers that answer in free
+    # text, mapped back to classes by the trigram matcher before training.
+    seed = 6
+    ds = rd.make_blobs(2000, 65, 32, 1.0, seed)
+    specs = [rd.SimTeacherSpec(a, seed=seed) for a in (0.80, 0.75, 0.70)]
+    chosen = rd.simulate_teachers(ds, specs, n_classes=65).labels
+    rng = np.random.default_rng([seed, 65])
+    template = rng.integers(len(TEMPLATES), size=chosen.shape)
+    modifier = rng.integers(len(MODIFIERS), size=chosen.shape)
+    records = [
+        rd.TeacherRecord(ds.sample_ids[i], t, free_text_answer(
+            TEMPLATES[template[i, t]], MODIFIERS[modifier[i, t]], OBJECT_VOCAB_65[c]))
+        for (i, t), c in np.ndenumerate(chosen)
+    ]
+    pl, _ = rd.label_records(records, object_vocab, rd.TrigramEmbedder())
+    assert pl.sample_ids == ds.sample_ids and np.mean(pl.labels == chosen) >= 0.98
+    configs = [rd.StageConfig(**dict(cfg, max_iter=300)) for cfg in STAGE_CONFIGS]
+    _, run = rd.run_curriculum(ds, pl, configs, seed)
+    acc = {r.stage: r.accuracy for r in run.reports}
+    ensemble = rd.ensemble_baseline(pl, ds.true_labels, seed=seed)
+    assert acc["SMKE"] >= acc["RKT"] + ONE_POINT, acc
+    assert acc["MMR"] >= acc["SMKE"] + ONE_POINT, acc
+    assert acc["MMR"] > ensemble + ONE_POINT, (acc, ensemble)

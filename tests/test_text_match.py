@@ -19,7 +19,7 @@ from relidistill.errors import (
 from relidistill import text_match
 from relidistill.text_match import TRIGRAM_DIM, _bucket, _class_side, normalize_text
 
-from conftest import OBJECT_VOCAB_65
+from conftest import MODIFIERS, OBJECT_VOCAB_65, TEMPLATES, free_text_answer
 
 
 def naive_trigram_cosine(a: str, b: str) -> float:
@@ -683,13 +683,6 @@ class TestBucketHash:
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
-TEMPLATES = (
-    "just {x}", "It is {a} {x}.", "I think this is {a} {x}", "Looks like {a} {x} to me!",
-    "probably {a} {x}, or maybe not", "The object is {a} {x}.",
-)
-MODIFIERS = ("", "small", "red", "old wooden", "broken", "shiny new")
-
-
 def record_sts(monkeypatch) -> list:
     """(a, b, similarities) of every sts call assign_pseudo_label makes."""
     calls = []
@@ -711,12 +704,8 @@ def test_support_restriction_matches_dense_sts_on_65_names(object_vocab, monkeyp
     # TestSts::test_matrix_equals_row_calls) without re-preparing it per call.
     dense_side = object_vocab._embedded(backend)[2]
     calls = record_sts(monkeypatch)
-    texts = []
-    for name in object_vocab.names:
-        for template in TEMPLATES:
-            for modifier in MODIFIERS:
-                x = f"{modifier} {name}".strip()
-                texts.append(template.format(a="an" if x[0] in "aeiou" else "a", x=x))
+    texts = [free_text_answer(template, modifier, name) for name in object_vocab.names
+             for template in TEMPLATES for modifier in MODIFIERS]
     assert len(set(texts)) == len(texts) >= 2000
     dense = [rd.sts(rd.embed_text(text, backend), dense_side) for text in texts]
     labels = [rd.assign_pseudo_label(rd.TeacherRecord("s", 0, t), object_vocab, backend)
