@@ -135,19 +135,17 @@ def partition(matrix: PseudoLabelMatrix) -> ReliabilityPartition:
     return ReliabilityPartition(scores=counts / full, tags=tags)
 
 
-def mode_label(row, rng: np.random.Generator | None = None) -> int:
+def mode_label(row, rng: np.random.Generator) -> int:
     """Most frequent label in the row.
 
-    Ties are resolved uniformly at random via ``rng``, which only a tied
-    row needs. A single-entry row is allowed.
+    Ties are resolved uniformly at random via ``rng``; an untied row
+    draws nothing from it. A single-entry row is allowed.
     """
     row = _check_row(row)
     values, counts = np.unique(row, return_counts=True)
     top = values[counts == counts.max()]
     if top.size == 1:
         return int(top[0])
-    if rng is None:
-        raise ConfigError("random tie-break needs a seeded rng")
     return int(top[rng.integers(top.size)])
 
 

@@ -153,15 +153,16 @@ def validate_stage_configs(configs: list[StageConfig]) -> None:
 
 
 def _train_stage(
-    model: StudentModel, cfg: StageConfig, pool: np.ndarray, seed: int, batch_loss
+    model: StudentModel, cfg: StageConfig, pool: np.ndarray, seed: int, batch_loss, label_sources
 ) -> TrainReport:
     """Train on minibatches of ``pool``, reshuffled each epoch (the short
-    tail batch is kept) from the stage's own shuffle stream.
+    tail batch is kept) from the stage's own shuffle stream, and report it.
 
     ``batch_loss(iteration, batch)`` applies the stage's label rule to
-    the sample indices in ``batch`` and returns (loss, grads). A
-    non-finite loss, or parameters no float32 checkpoint can hold, raise
-    :class:`StageError`.
+    the sample indices in ``batch`` and returns (loss, grads), counting
+    the source of each label in ``label_sources`` (None for a stage with
+    one source). A non-finite loss, or parameters no float32 checkpoint
+    can hold, raise :class:`StageError`.
     """
     shuffle_rng = derive_rng(seed, SHUFFLE, STAGES.index(cfg.stage))
     optimizer = init_optimizer(model, cfg.learning_rate)
@@ -191,6 +192,7 @@ def _train_stage(
         iterations=cfg.max_iter,
         final_loss=last_loss,
         loss_curve=curve,
+        label_sources=label_sources,
         touched_sample_count=int(pool.size),
     )
 
@@ -246,7 +248,7 @@ def run_rkt(
         # Unanimous rows: any teacher column holds the label.
         return loss_and_grads(model, X[batch], pl.labels[batch, 0])
 
-    return _train_stage(model, cfg, reliable, seed, batch_loss)
+    return _train_stage(model, cfg, reliable, seed, batch_loss, None)
 
 
 def run_smke(
@@ -278,9 +280,7 @@ def run_smke(
         sources["teacher"] += int((~use_student).sum())
         return loss_and_grads(model, X[batch], labels)
 
-    report = _train_stage(model, cfg, pool, seed, batch_loss)
-    report.label_sources = sources
-    return report
+    return _train_stage(model, cfg, pool, seed, batch_loss, sources)
 
 
 def run_mmr(
@@ -321,9 +321,7 @@ def run_mmr(
         loss_cons, grads_strong = loss_and_grads(model, x_strong, refined)
         return loss_sup + lam * loss_cons, grads_weak + lam * grads_strong
 
-    report = _train_stage(model, cfg, pool, seed, batch_loss)
-    report.label_sources = sources
-    return report
+    return _train_stage(model, cfg, pool, seed, batch_loss, sources)
 
 
 def _align(ds: FeatureDataset, pl: PseudoLabelMatrix):

@@ -212,19 +212,16 @@ class SimTeacherSpec:
 
 
 def simulate_teachers(
-    ds: FeatureDataset,
-    specs: list[SimTeacherSpec],
-    n_classes: int | None = None,
+    ds: FeatureDataset, specs: list[SimTeacherSpec], n_classes: int
 ) -> PseudoLabelMatrix:
-    """Draw a pseudo-label matrix from per-teacher accuracy specs."""
+    """Draw a pseudo-label matrix over ``n_classes`` classes from per-teacher
+    accuracy specs; a truth label outside the classes raises."""
     if ds.true_labels is None:
         raise ConfigError("simulated teachers need true labels")
     if len(specs) < 2:
         raise ConfigError("need at least 2 teacher specs")
     if specs[0].correlation != 0.0:
         raise ConfigError("the reference teacher (spec 0) cannot be correlated")
-    if n_classes is None:
-        n_classes = int(ds.true_labels.max()) + 1
     if np.any(ds.true_labels >= n_classes):
         raise DataError("true labels exceed the class count")
 

@@ -11,6 +11,7 @@ no string rows."""
 from __future__ import annotations
 
 import csv
+import errno
 import os
 import secrets
 from contextlib import contextmanager
@@ -29,22 +30,31 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
 
     Takes the arguments of :func:`open`. Readers never see a partial
     file: if the body raises, the temp file is removed and ``path``
-    keeps its old content.
+    keeps its old content. An :class:`OSError` that names the temp file
+    (it cannot be created, or cannot replace ``path``) is raised again
+    naming ``path`` alone, the one name the caller gave.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    if not path.name:  # "." or "/": no name to put a temp file beside
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    tmp = str(path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp"))
     # Exclusive create like tempfile.mkstemp, but with the permissions
     # the umask gives a plain open() rather than mkstemp's 0600.
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
     try:
-        with os.fdopen(fd, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, flags, 0o666)
+        try:
+            with os.fdopen(fd, mode, **kwargs) as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:

@@ -193,12 +193,14 @@ def _class_side(rows: np.ndarray) -> _ClassSide:
 
     Cosine is scale-invariant, and after the prescale the squared norms lie
     in [1, d], where they cannot under- or overflow. An all-zero row or a
-    non-finite entry raises :class:`UndefinedSimilarityError`.
+    non-finite entry raises :class:`UndefinedSimilarityError`. :func:`sts`
+    prepares its query the same way, as a one-row matrix.
     """
-    scale = np.max(np.abs(rows), axis=1, keepdims=True, initial=0.0)
-    if not np.all(scale):
+    # Array methods, not np.max / np.all: sts calls this once per query.
+    scale = np.abs(rows).max(axis=1, keepdims=True, initial=0.0)
+    if not scale.all():
         raise UndefinedSimilarityError("cosine of an all-zero vector is undefined")
-    if not np.all(np.isfinite(scale)):
+    if not np.isfinite(scale).all():
         raise UndefinedSimilarityError("cosine of a non-finite vector is undefined")
     rows = rows / scale
     sq_norms = np.einsum("cd,cd->c", rows, rows)
@@ -226,16 +228,11 @@ def sts(a: np.ndarray, b: np.ndarray | _ClassSide) -> float | np.ndarray:
         raise ShapeMismatchError(f"embedding dimensions differ: {va.shape} vs {vb.shape}")
     if side is None:
         side = _class_side(rows)
-    ma = np.max(np.abs(va), initial=0.0)
-    if ma == 0.0:
-        raise UndefinedSimilarityError("cosine of an all-zero vector is undefined")
-    if not math.isfinite(ma):
-        raise UndefinedSimilarityError("cosine of a non-finite vector is undefined")
-    va = va / ma
-    sims = np.einsum("cd,d->c", side.rows, va) / np.sqrt(
-        np.einsum("d,d->", va, va) * side.sq_norms
+    query = _class_side(va[None, :])
+    sims = np.einsum("cd,d->c", side.rows, query.rows[0]) / np.sqrt(
+        query.sq_norms[0] * side.sq_norms
     )
-    sims = np.clip(sims, -1.0, 1.0)
+    sims = sims.clip(-1.0, 1.0)
     return float(sims[0]) if vb.ndim == 1 else sims
 
 
@@ -290,6 +287,7 @@ class ClassVocab:
                     raise ConfigError(f"class name {name!r} embeds to the zero vector")
                 if not np.all(np.isfinite(vec)):
                     raise ConfigError(f"class name {name!r} embeds to a non-finite vector")
+                vec = vec / np.max(np.abs(vec))  # so ``vec @ vec`` cannot under- or overflow
                 rows.append(vec / math.sqrt(float(vec @ vec)))
             matrix = np.array(rows)
             matrix.flags.writeable = False

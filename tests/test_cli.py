@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relidistill.cli import main, parse_stage_configs
+from relidistill.cli import _parse_backend, main, parse_stage_configs
 from relidistill.curriculum import StageConfig
 from relidistill.student import init_student, load_checkpoint, save_checkpoint
 
@@ -276,6 +277,22 @@ class TestLabel:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_class_vector_of_extreme_scale_labels(self, tmp_path, scale):
+        # Its squared norm overflowed or underflowed: exit 3 on a vector
+        # that is neither zero nor non-finite, with a numpy warning first.
+        (tmp_path / "e.tsv").write_text(f"car\t{scale} 0\nbus\t0 1\na car\t1 0.1\n")
+        (tmp_path / "v.txt").write_text("car\nbus\n")
+        (tmp_path / "t.jsonl").write_text(
+            json.dumps({"sample_id": "s0", "teacher": 0, "text": "a car"}) + "\n"
+            + json.dumps({"sample_id": "s0", "teacher": 1, "text": "bus"}) + "\n"
+        )
+        out = tmp_path / "pl.csv"
+        argv = [str(tmp_path / "t.jsonl"), str(tmp_path / "v.txt"), "--out", str(out)]
+        backend = f"precomputed:{tmp_path / 'e.tsv'}"
+        assert main(["label", *argv, "--backend", backend]) == 0
+        assert out.read_text().splitlines()[1:] == ["s0,0,1"]
 
 
 def set_label(pl_csv: Path, line: int, value: str) -> None:
@@ -1033,9 +1050,12 @@ FUZZ_KINDS = {
 }
 
 
-def run_cli(kind: str, replaced: dict[str, bytes] | None = None) -> tuple[int, dict[str, bytes]]:
-    """Run ``FUZZ_KINDS[kind]``'s command in a fresh directory holding its
-    seed files, ``replaced`` written over them, and check the contract of
+def run_cli(
+    kind: str, replaced: dict[str, bytes] | None = None, argv: str | None = None
+) -> tuple[int, dict[str, bytes]]:
+    """Run ``FUZZ_KINDS[kind]``'s command, or ``argv`` in its place, in a
+    fresh directory holding the kind's seed files, ``replaced`` written over
+    them, and check the contract of
     the CLI boundary: the exit code is one of the kind's (never a
     traceback); a failure's stderr starts with ``error:``; and after a
     failure the directory, searched recursively, holds exactly the paths
@@ -1051,7 +1071,7 @@ def run_cli(kind: str, replaced: dict[str, bytes] | None = None) -> tuple[int, d
         os.chdir(tmp)
         try:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(row.argv.split())
+                code = main((argv or row.argv).split())
         finally:
             os.chdir(cwd)
         assert code in row.codes, err.getvalue()
@@ -1071,6 +1091,72 @@ def test_fuzz_seed_inputs_exit_0(kind):
     assert code == 0
     if kind == "label-precomputed":
         assert written["pl.csv"].decode("utf-8").splitlines()[1:] == ["s0,0,0", "s1,2,1"]
+
+
+SIM_CONFIG = json.loads(FUZZ_SIM_CONFIG)
+
+
+# Spellings of a default that no other test runs, each beside the run it
+# must equal: (kind, command line or None for the kind's, files replaced,
+# files replaced in the reference run). The wall times of timing.json are
+# not compared.
+@pytest.mark.parametrize(
+    "kind, argv, replaced, reference",
+    [
+        pytest.param("label", "label t.jsonl v.txt --backend ngram --out pl.csv", {}, {},
+                     id="label-backend-ngram"),
+        pytest.param(
+            "simulate", None,
+            {"config.json": json.dumps({**SIM_CONFIG, "class_names": None}).encode("utf-8")},
+            {"config.json": json.dumps(
+                {k: v for k, v in SIM_CONFIG.items() if k != "class_names"}).encode("utf-8")},
+            id="simulate-class-names-null",
+        ),
+        pytest.param(
+            "train", None,
+            {"config.json": FUZZ_TRAIN_CONFIG + b', "warm_start_checkpoint": null'
+             + FUZZ_TRAIN_PATHS},
+            {}, id="train-warm-start-null",
+        ),
+    ],
+)
+def test_default_spelled_out_runs_as_the_default(kind, argv, replaced, reference):
+    code, written = run_cli(kind, replaced, argv)
+    reference_code, expected = run_cli(kind, reference)
+    assert code == reference_code == 0
+    written.pop("out/timing.json", None)
+    expected.pop("out/timing.json", None)
+    assert written == expected
+
+
+def test_precomputed_backend_without_path():
+    with pytest.raises(argparse.ArgumentTypeError) as excinfo:
+        _parse_backend("precomputed:")
+    assert str(excinfo.value) == "precomputed backend needs a path"
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        ("label t.jsonl v.txt --out nodir/pl.csv", "nodir/pl.csv"),
+        ("partition pl.csv --out outdir", "outdir"),
+        ("partition pl.csv --out .", "."),
+    ],
+    ids=["label-into-missing-dir", "partition-onto-dir", "partition-onto-dot"],
+)
+def test_failed_write_names_its_target_exit_3(argv, target, tmp_path, monkeypatch, capsys):
+    # The temp file beside the target is the package's, and its name
+    # changes on every run: the error names the path the user gave.
+    for name, content in (("t.jsonl", FUZZ_RECORDS), ("v.txt", FUZZ_VOCAB),
+                          ("pl.csv", FUZZ_PSEUDO_LABELS)):
+        (tmp_path / name).write_bytes(content)
+    (tmp_path / "outdir").mkdir()
+    before = set(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": '{target}'\n"), err
+    assert set(tmp_path.rglob("*")) == before
 
 
 def affordable(config: bytes) -> bool:

@@ -114,10 +114,13 @@ class TestPartition:
 
 class TestModeLabel:
     def test_strict_majority(self):
-        assert rd.mode_label([4, 4, 7]) == 4
+        rng = derive_rng(42, MODE_TIE, 0)
+        state = rng.bit_generator.state
+        assert rd.mode_label([4, 4, 7], rng) == 4
+        assert rng.bit_generator.state == state
 
     def test_single_entry(self):
-        assert rd.mode_label([5]) == 5
+        assert rd.mode_label([5], derive_rng(42, MODE_TIE, 0)) == 5
 
     def test_tie_seeded_and_in_tied_set(self):
         rng1 = derive_rng(42, MODE_TIE, 0)
@@ -127,13 +130,9 @@ class TestModeLabel:
         assert a == b
         assert a in (3, 7)
 
-    def test_tie_without_rng_rejected(self):
-        with pytest.raises(ConfigError):
-            rd.mode_label([9, 2, 2, 9])
-
     def test_empty_row(self):
         with pytest.raises(InvalidRowError):
-            rd.mode_label([])
+            rd.mode_label([], derive_rng(42, MODE_TIE, 0))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=7), st.integers(0, 2**32 - 1))
@@ -262,3 +261,36 @@ class TestMatrixCallsMatchRowOracles:
         ]
         got = rd.mode_labels(matrix, seed, purpose=purpose)
         assert got.tolist() == expected
+
+
+TWO_CLASS_MATRIX = rd.PseudoLabelMatrix(["a", "b", "c"], np.array([[0, 0], [0, 1], [1, 1]]), 2)
+
+# Checks no other test reaches: (call given a scratch directory, the
+# exception it raises, that exception's message).
+ARGUMENT_CHECKS = [
+    pytest.param(
+        lambda tmp: rd.PseudoLabelMatrix(["a"], np.zeros((2, 2)), 3),
+        DataError, "labels must be an (N, M) matrix aligned with sample_ids",
+        id="matrix-rows-not-aligned",
+    ),
+    pytest.param(
+        lambda tmp: rd.PseudoLabelMatrix(["a"], np.zeros((1, 2)), 1),
+        ConfigError, "need at least 2 classes", id="matrix-one-class",
+    ),
+    pytest.param(
+        lambda tmp: rd.partition(TWO_CLASS_MATRIX).indices("X"),
+        ConfigError, "unknown tag 'X'", id="partition-unknown-tag",
+    ),
+    pytest.param(
+        lambda tmp: write_partition_csv(rd.partition(TWO_CLASS_MATRIX), ["a", "b"], tmp / "p.csv"),
+        DataError, "sample ids and partition length differ", id="partition-csv-length",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ARGUMENT_CHECKS)
+def test_argument_checks(call, error, message, tmp_path):
+    with pytest.raises(error) as excinfo:
+        call(tmp_path)
+    assert str(excinfo.value) == message
+    assert not list(tmp_path.iterdir())

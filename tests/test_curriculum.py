@@ -17,7 +17,7 @@ from relidistill.curriculum import (
     run_smke,
     validate_stage_configs,
 )
-from relidistill.errors import ConfigError, StageError
+from relidistill.errors import ConfigError, DataError, StageError
 from relidistill.student import init_optimizer, loss_and_grads, optimizer_step, predict_proba
 
 from conftest import MODIFIERS, OBJECT_VOCAB_65, TEMPLATES, free_text_answer
@@ -503,3 +503,57 @@ def test_free_text_65_classes_gated_like_criterion_6(object_vocab):
     assert acc["SMKE"] >= acc["RKT"] + ONE_POINT, acc
     assert acc["MMR"] >= acc["SMKE"] + ONE_POINT, acc
     assert acc["MMR"] > ensemble + ONE_POINT, (acc, ensemble)
+
+
+RKT = rd.StageConfig("RKT", 1e-3, 4, 2)
+SMKE = rd.StageConfig("SMKE", 1e-3, 4, 2, tau=0.7)
+MMR = rd.StageConfig("MMR", 1e-3, 4, 2, tau=0.9, lambda_cons=0.5)
+
+
+def stage_args(labels):
+    """The (model, X, part, pl) a stage takes for ``labels`` over 2 classes."""
+    pl = rd.PseudoLabelMatrix([f"s{i}" for i in range(len(labels))], np.array(labels), 2)
+    return rd.init_student([2, 2], 0), np.ones((pl.n, 2)), partition(pl), pl
+
+
+# Checks no other test reaches: (call, the exception it raises, that
+# exception's message).
+ARGUMENT_CHECKS = [
+    pytest.param(lambda: rd.StageConfig("FOO", 1e-3, 4, 2), ConfigError,
+                 "unknown stage 'FOO'", id="stage-unknown"),
+    pytest.param(lambda: rd.StageConfig("RKT", 0.0, 4, 2), ConfigError,
+                 "RKT: learning rate must be positive", id="stage-learning-rate-zero"),
+    pytest.param(lambda: rd.StageConfig("SMKE", 1e-3, 0, 2, tau=0.7), ConfigError,
+                 "SMKE: batch size and max iter must be >= 1", id="stage-batch-size-zero"),
+    pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 0, tau=0.9, lambda_cons=0.5),
+                 ConfigError, "MMR: batch size and max iter must be >= 1",
+                 id="stage-max-iter-zero"),
+    pytest.param(lambda: rd.StageConfig("SMKE", 1e-3, 4, 2, tau=1.5), ConfigError,
+                 "SMKE: tau must lie in [0, 1]", id="stage-tau-above-1"),
+    pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 2, tau=-0.1, lambda_cons=0.5),
+                 ConfigError, "MMR: tau must lie in [0, 1]", id="stage-tau-below-0"),
+    pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 2, tau=0.9, lambda_cons=-1.0),
+                 ConfigError, "MMR: lambda_cons must be >= 0", id="stage-lambda-negative"),
+    pytest.param(lambda: rd.StageConfig("SMKE", 1e-3, 4, 2, tau=0.7, lambda_cons=0.5),
+                 ConfigError, "SMKE takes no lambda_cons", id="stage-smke-lambda"),
+    pytest.param(lambda: rd.mmr_refine([0.5, 0.5], [0, 1], 3, 0.9), DataError,
+                 "probability vector length != class count", id="mmr-refine-length"),
+    pytest.param(lambda: run_rkt(*stage_args([[0, 0]]), SMKE, 0), ConfigError,
+                 "expected an RKT config, got SMKE", id="run-rkt-smke-config"),
+    pytest.param(lambda: run_smke(*stage_args([[0, 0]]), MMR, 0), ConfigError,
+                 "expected an SMKE config, got MMR", id="run-smke-mmr-config"),
+    pytest.param(lambda: run_mmr(*stage_args([[0, 0]]), RKT, rd.AugmentPolicy(), 0),
+                 ConfigError, "expected an MMR config, got RKT", id="run-mmr-rkt-config"),
+    pytest.param(lambda: run_smke(*stage_args([[0, 1], [1, 0]]), SMKE, 0), StageError,
+                 "no samples with any teacher agreement; SMKE cannot run",
+                 id="run-smke-all-unreliable"),
+    pytest.param(lambda: run_mmr(*stage_args(np.zeros((0, 2))), MMR, rd.AugmentPolicy(), 0),
+                 StageError, "empty dataset; MMR cannot run", id="run-mmr-empty"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ARGUMENT_CHECKS)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -156,7 +156,7 @@ class TestSimulateTeachers:
     def test_requires_true_labels(self):
         ds = rd.FeatureDataset(["a", "b"], np.zeros((2, 3)))
         with pytest.raises(ConfigError):
-            rd.simulate_teachers(ds, [rd.SimTeacherSpec(0.5), rd.SimTeacherSpec(0.5)])
+            rd.simulate_teachers(ds, [rd.SimTeacherSpec(0.5), rd.SimTeacherSpec(0.5)], 2)
 
     def test_reference_must_be_uncorrelated(self, small_blobs):
         specs = [rd.SimTeacherSpec(0.5, correlation=0.5), rd.SimTeacherSpec(0.5)]
@@ -168,3 +168,44 @@ class TestSimulateTeachers:
             rd.SimTeacherSpec(1.5)
         with pytest.raises(ConfigError):
             rd.SimTeacherSpec(0.5, confusion="typo")
+
+
+TWO_SAMPLES = rd.FeatureDataset(["a", "b"], np.zeros((2, 3)), np.array([0, 2]))
+
+# Checks no other test reaches: (call, the exception it raises, that
+# exception's message).
+ARGUMENT_CHECKS = [
+    pytest.param(lambda: rd.FeatureDataset(["a"], np.zeros(3)), DataError,
+                 "features must be an (N, d) matrix with d >= 1", id="features-1d"),
+    pytest.param(lambda: rd.FeatureDataset(["a"], np.zeros((1, 0))), DataError,
+                 "features must be an (N, d) matrix with d >= 1", id="features-no-column"),
+    pytest.param(lambda: rd.FeatureDataset(["a"], np.zeros((2, 3))), DataError,
+                 "sample ids and feature rows differ in length", id="features-ids-length"),
+    pytest.param(lambda: rd.FeatureDataset(["a", "a"], np.zeros((2, 3))), DataError,
+                 "duplicate sample ids", id="features-duplicate-id"),
+    pytest.param(lambda: rd.FeatureDataset(["a"], [[0.0, np.inf]]), DataError,
+                 "features contain non-finite values", id="features-non-finite"),
+    pytest.param(lambda: rd.FeatureDataset(["a", "b"], np.zeros((2, 3)), [0]), DataError,
+                 "true labels must align with samples", id="labels-length"),
+    pytest.param(lambda: rd.FeatureDataset(["a", "b"], np.zeros((2, 3)), [0, -1]), DataError,
+                 "true labels must be non-negative", id="labels-negative"),
+    pytest.param(lambda: rd.make_blobs(10, 1, 2, 0.5, seed=0), ConfigError,
+                 "need at least 2 classes", id="blobs-one-class"),
+    pytest.param(lambda: rd.SimTeacherSpec(0.5, correlation=1.5), ConfigError,
+                 "correlation must lie in [0, 1]", id="spec-correlation-above-1"),
+    pytest.param(lambda: rd.SimTeacherSpec(0.5, correlation=-0.5), ConfigError,
+                 "correlation must lie in [0, 1]", id="spec-correlation-below-0"),
+    pytest.param(lambda: rd.simulate_teachers(TWO_SAMPLES, [rd.SimTeacherSpec(0.5)], 3),
+                 ConfigError, "need at least 2 teacher specs", id="simulate-one-spec"),
+    pytest.param(
+        lambda: rd.simulate_teachers(TWO_SAMPLES, [rd.SimTeacherSpec(0.5)] * 2, 2),
+        DataError, "true labels exceed the class count", id="simulate-label-beyond-classes",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ARGUMENT_CHECKS)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

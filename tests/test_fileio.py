@@ -100,6 +100,17 @@ def test_atomic_write_keeps_plain_open_permissions(tmp_path):
     assert atomic.stat().st_mode == plain.stat().st_mode
 
 
+def test_atomic_open_passes_on_an_error_of_the_body(tmp_path):
+    # Only an error that names the temp file is raised again naming the target.
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(FileNotFoundError) as excinfo:
+        with fileio.atomic_open(tmp_path / "out.txt") as fh:
+            fh.write("x")
+            open(missing)
+    assert excinfo.value.filename == str(missing)
+    assert list(tmp_path.iterdir()) == []
+
+
 # reader -> (reader, header, a valid data row). A fault goes into a
 # second row placed after a blank line, so it sits on line 4; the
 # integer-overflow fault goes into the last column, which holds

@@ -106,3 +106,30 @@ class TestReliabilityReport:
         lines = table.splitlines()
         assert lines[0].startswith("score")
         assert len(lines) == len(report.bins) + 1
+
+
+THREE_SAMPLES = rd.PseudoLabelMatrix(["a", "b", "c"], np.array([[0, 0], [0, 1], [1, 1]]), 2)
+
+# Checks no other test reaches: (call, the exception it raises, that
+# exception's message).
+ARGUMENT_CHECKS = [
+    pytest.param(lambda: rd.ensemble_baseline(THREE_SAMPLES, [0, 1]), DataError,
+                 "truths must align with the pseudo-label matrix", id="ensemble-truths"),
+    pytest.param(
+        lambda: rd.reliability_report(THREE_SAMPLES, rd.partition(THREE_SAMPLES), [[0, 1, 1]]),
+        DataError, "truths must align with the pseudo-label matrix", id="report-truths",
+    ),
+    pytest.param(
+        lambda: rd.reliability_report(
+            THREE_SAMPLES, rd.ReliabilityPartition(np.ones(2), np.array(["R", "R"])), [0, 1, 1]
+        ),
+        DataError, "partition must align with the pseudo-label matrix", id="report-partition",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ARGUMENT_CHECKS)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -483,3 +483,27 @@ class TestTrainingDynamics:
         smoothed = np.convolve(np.array(losses), np.ones(50) / 50, mode="valid")
         assert np.all(np.diff(smoothed) <= 1e-3)
         assert smoothed[-1] < 0.5 * smoothed[0]
+
+
+# Checks no other test reaches: (call, the exception it raises, that
+# exception's message).
+ARGUMENT_CHECKS = [
+    pytest.param(lambda: rd.cross_entropy(np.full(3, 1 / 3), [0]), ShapeMismatchError,
+                 "probabilities (B, C) and labels (B,) expected", id="cross-entropy-1d"),
+    pytest.param(lambda: rd.cross_entropy(np.full((2, 3), 1 / 3), [0]), ShapeMismatchError,
+                 "probabilities (B, C) and labels (B,) expected", id="cross-entropy-labels"),
+    pytest.param(lambda: rd.cross_entropy(np.zeros((0, 3)), []), ShapeMismatchError,
+                 "empty batch", id="cross-entropy-empty"),
+    pytest.param(lambda: rd.init_optimizer(rd.init_student([3, 2], seed=7), 0.0), ConfigError,
+                 "learning rate must be positive", id="optimizer-learning-rate-zero"),
+    pytest.param(lambda: rd.init_optimizer(rd.init_student([3, 2], seed=7), -1e-3),
+                 ConfigError, "learning rate must be positive",
+                 id="optimizer-learning-rate-negative"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ARGUMENT_CHECKS)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -236,6 +236,20 @@ class TestClassVocab:
         with pytest.raises(ConfigError, match="bus"):
             rd.ClassVocab(["car", "bus"]).class_matrix(table)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_class_vector_of_extreme_scale_labels(self, scale):
+        # The squared norm of the raw vector overflowed to inf (1e200) or
+        # underflowed to 0 (1e-200), leaving a zero or a NaN class row.
+        table = rd.PrecomputedTable(
+            {"car": np.array([scale, 0.0]), "bus": np.array([0.0, 1.0]),
+             "a car": np.array([1.0, 0.1])}
+        )
+        vocab = rd.ClassVocab(["car", "bus"])
+        assert np.array_equal(vocab.class_matrix(table), np.eye(2))
+        records = [rd.TeacherRecord("s0", 0, "a car"), rd.TeacherRecord("s0", 1, "bus")]
+        matrix, _ = rd.label_records(records, vocab, table)
+        assert matrix.labels.tolist() == [[0, 1]]
+
 
 class CountingBackend:
     """Trigram embeddings that count the texts they embed."""
@@ -750,3 +764,53 @@ class TestSupportRestrictedCall:
             rd.assign_pseudo_label(
                 rd.TeacherRecord("s", 0, "short"), rd.ClassVocab(["car", "bus"]), table
             )
+
+
+def write(path, text: str):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "keys, text",
+    [
+        (lambda path: list(rd.PrecomputedTable.load(path).table), "car\t1 0\n\nbus\t0 1\n"),
+        (lambda path: [r.raw_text for r in rd.read_teacher_records(path)],
+         '{"sample_id": "s0", "teacher": 0, "text": "car"}\n  \n'
+         '{"sample_id": "s0", "teacher": 1, "text": "bus"}\n'),
+    ],
+    ids=["table", "records"],
+)
+def test_blank_line_is_skipped(keys, text, tmp_path):
+    assert keys(write(tmp_path / "input", text)) == ["car", "bus"]
+
+
+TWO_RECORDS = [rd.TeacherRecord("s0", 0, "car"), rd.TeacherRecord("s0", 1, "bus")]
+
+# Checks no other test reaches: (call given a scratch directory, the
+# exception it raises, that exception's message).
+ARGUMENT_CHECKS = [
+    pytest.param(lambda tmp: rd.PrecomputedTable({}), ParseError, "empty embedding table",
+                 id="table-empty"),
+    pytest.param(lambda tmp: rd.PrecomputedTable.load(write(tmp / "e.tsv", "\n\n")),
+                 ParseError, "empty embedding table", id="table-file-blank"),
+    pytest.param(lambda tmp: rd.PrecomputedTable.load(write(tmp / "e.tsv", "car\t \n")),
+                 ParseError, "{tmp}/e.tsv:1: no embedding values", id="table-line-without-values"),
+    pytest.param(
+        lambda tmp: rd.label_records(TWO_RECORDS, rd.ClassVocab(["car", "bus"]),
+                                     rd.TrigramEmbedder(), on_unlabeled="skip"),
+        ConfigError, "unknown on-unlabeled policy 'skip'", id="label-unknown-policy",
+    ),
+    pytest.param(
+        lambda tmp: rd.label_records(TWO_RECORDS[:1], rd.ClassVocab(["car", "bus"]),
+                                     rd.TrigramEmbedder()),
+        ConfigError, "need at least 2 teachers", id="label-one-teacher",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ARGUMENT_CHECKS)
+def test_argument_checks(call, error, message, tmp_path):
+    with pytest.raises(error) as excinfo:
+        call(tmp_path)
+    assert str(excinfo.value) == message.format(tmp=tmp_path)
