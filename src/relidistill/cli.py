@@ -63,7 +63,10 @@ def _read_config(args, keys: dict, required) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is the
+        # error for an integer over Python's digit limit; nesting deeper
+        # than the recursion limit raises RecursionError.
         raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
     if args.seed is not None and isinstance(obj, dict):
         obj["seed"] = args.seed

@@ -6,13 +6,19 @@ an unparsable or out-of-range value raises :class:`ParseError` naming
 package reads. The line named is the physical line on which the offending
 row starts, which a quoted field holding a newline sets apart from the
 row count. A read parses its rows into arrays a block at a time and keeps
-no string rows."""
+no string rows. A plain block (one row a line, no quotes or blank lines,
+numbers in ASCII) goes through numpy's C parser; any other block, and
+every block after it, goes through ``csv.reader`` and Python's number
+rules. Both accept the same values and name the same line for each
+error."""
 
 from __future__ import annotations
 
 import csv
 import errno
+import itertools
 import os
+import re
 import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -88,6 +94,30 @@ def open_utf8(path: str | Path, newline: str | None = None):
 # Rows parsed into arrays at a time: a read holds the strings of one block,
 # whatever the length of the file.
 _BLOCK_ROWS = 4096
+# What np.loadtxt may see in a plain block's sample-id field, integer
+# field and float field: ids free of quotes and NUL, numbers spelled in
+# ASCII digits and signs, plus points and exponent marks in floats. On
+# these loadtxt either refuses a field or gives the value int()/float()
+# give; elsewhere it strays (it skips U+001C as a space and reads U+01FE
+# as a digit, and some numpy releases parse "3.0" in an integer field,
+# with a warning).
+_PLAIN_ID = r'[^",\0\r\n]*'
+_PLAIN_INT = r"[-+0-9]*"
+_PLAIN_FLOAT = r"[-+.0-9eE]*"
+
+
+def _plain_block(width: int, specs) -> re.Pattern:
+    """The pattern a plain block of physical lines matches whole: one row
+    of ``width`` fields a line, each field spelled as its column spec
+    parses it (a column no spec parses as a float)."""
+    if width < 2:
+        return re.compile("(?!)")  # a file of ids alone takes csv.reader
+    fields = [_PLAIN_ID] + [_PLAIN_FLOAT] * (width - 1)
+    for cols, dtype in specs:
+        if np.issubdtype(dtype, np.integer):
+            fields[cols] = [_PLAIN_INT] * len(fields[cols])
+    row = ",".join(fields)
+    return re.compile(rf"(?:{row}(?:\r\n?|\n))*(?:{row})?")
 
 
 @dataclass
@@ -108,38 +138,89 @@ class CsvTable:
     def check_labels(self, labels: np.ndarray, n_classes: int) -> None:
         """Raise naming the first row of ``labels`` (one row of class indices
         per table row) that holds a value outside 0..n_classes-1."""
-        bad = ((labels < 0) | (labels >= n_classes)).any(axis=1)
+        # Row extremes, not an (N, k) mask: the check's temporaries are two
+        # values a row.
+        bad = (labels.min(axis=1, initial=0) < 0) | (labels.max(axis=1, initial=-1) >= n_classes)
         if bad.any():
             i = int(np.argmax(bad))
             raise self.error(i, f"labels must lie in 0..{n_classes - 1}, got {labels[i].tolist()}")
 
-    def _append(self, rows: list[list[str]], lines: list[int], specs) -> None:
-        """Parse a block of rows onto the end of the arrays.
-
-        Values are parsed by Python's ``int()``/``float()`` rules; the first
-        row holding a value that fails or overflows its dtype raises
-        :class:`ParseError` naming its line. The arrays grow in place (no
-        view of them exists yet), so a read never holds a copy of one."""
-        n, b = len(self.lines), len(rows)
-        if not b:
-            return
+    def _extend(self, lines: Sequence[int] | np.ndarray, blocks: list[np.ndarray]) -> None:
+        """Put one parsed block per array, and its rows' lines, on the end.
+        The arrays grow in place (no view of them exists yet), so a read
+        never holds a copy of one."""
+        n, b = len(self.lines), len(lines)
         self.lines.resize(n + b, refcheck=False)
         self.lines[n:] = lines
-        for array, (cols, dtype) in zip(self.arrays, specs):
+        for array, block in zip(self.arrays, blocks):
+            array.resize((n + b, array.shape[1]), refcheck=False)
+            array[n:] = block
+
+    def _append_plain(
+        self, block: list[str], first: int, width: int, plain: re.Pattern, specs, seen: set[str]
+    ) -> bool:
+        """Parse a block of physical lines, the first of them line ``first``,
+        through ``np.loadtxt``, and add its sample ids to ``seen``.
+
+        A block is plain when ``plain`` (see :func:`_plain_block`) matches
+        it whole and no line is longer than ``csv.field_size_limit()``:
+        then ``csv.reader`` would split each line at its commas into one
+        row, and ``np.loadtxt`` gives the values :meth:`_append` gives or
+        refuses the block. Return False, having changed nothing, for a
+        block that is not plain, that repeats a sample id, or whose values
+        loadtxt refuses or overflows to infinity; :meth:`_append` then
+        parses it and names the line at fault."""
+        if not block:
+            return True
+        if max(map(len, block)) > csv.field_size_limit() or not plain.fullmatch("".join(block)):
+            return False
+        ids = [line[: line.index(",")] for line in block]
+        if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
+            return False
+        columns = range(width)
+        blocks = []
+        for cols, dtype in specs:
+            try:
+                values = np.loadtxt(
+                    block, dtype, delimiter=",", comments=None, quotechar=None,
+                    usecols=list(columns[cols]), ndmin=2,
+                )
+            except ValueError:
+                return False
+            # Plain values spell no inf or nan: infinity is an overflow.
+            if values.dtype.kind == "f" and not np.isfinite(values).all():
+                return False
+            blocks.append(values)
+        seen.update(ids)
+        self.sample_ids.extend(ids)
+        self._extend(np.arange(first, first + len(block)), blocks)
+        return True
+
+    def _append(self, rows: list[list[str]], lines: list[int], specs) -> None:
+        """Parse a block of ``csv.reader`` rows onto the end of the arrays.
+
+        This path parses every block that :meth:`_append_plain` refuses,
+        and every block after it. Values are parsed by Python's
+        ``int()``/``float()`` rules; the first row holding a value that
+        fails or overflows its dtype raises :class:`ParseError` naming
+        its line."""
+        if not rows:
+            return
+        blocks = []
+        for cols, dtype in specs:
             cells = [row[cols] for row in rows]
             with np.errstate(over="raise"):
                 try:
-                    block = np.array(cells, dtype)
+                    blocks.append(np.array(cells, dtype))
                 except (ValueError, ArithmeticError):
-                    for i, values in enumerate(cells):
+                    for lineno, values in zip(lines, cells):
                         try:
                             np.array(values, dtype)
                         except (ValueError, ArithmeticError):
                             message = f"expected {np.dtype(dtype)}, got {values}"
-                            raise self.error(n + i, message) from None
+                            raise ParseError(f"{self.path}:{lineno}: {message}") from None
                     raise
-            array.resize((n + b, array.shape[1]), refcheck=False)
-            array[n:] = block
+        self._extend(lines, blocks)
 
 
 def read_csv(
@@ -151,9 +232,14 @@ def read_csv(
     ``layout`` maps the file's header to the header its format requires
     and the (slice, dtype) pairs to parse, one array each; it must accept
     any header, since the file's is compared only afterwards. A repeated
-    sample id raises naming its second line."""
+    sample id raises naming its second line.
+
+    Blocks go through :meth:`CsvTable._append_plain` while they are
+    plain; the first block that is not, and the rest of the file after
+    it, go through ``csv.reader`` and :meth:`CsvTable._append`."""
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
+        start = 0  # physical lines read before the reader's first
         try:
             header = next(reader, None)
             if header is None:
@@ -164,12 +250,23 @@ def read_csv(
             arrays = [np.empty((0, len(header[cols])), dtype) for cols, dtype in specs]
             table = CsvTable(str(path), [], arrays, np.empty(0, np.int64))
             seen: set[str] = set()
+            start = reader.line_num
+            plain = _plain_block(len(header), specs)
+            while True:
+                # A plain block is _BLOCK_ROWS rows, as on the csv.reader path.
+                block = list(itertools.islice(fh, _BLOCK_ROWS))
+                if not table._append_plain(block, start + 1, len(header), plain, specs, seen):
+                    break
+                if len(block) < _BLOCK_ROWS:
+                    return table
+                start += len(block)
+            reader = csv.reader(itertools.chain(block, fh))
             rows, lines = [], []
-            end = reader.line_num
+            end = start
             for row in reader:
                 # A quoted field may span lines: a row starts on the line
                 # after the one the row before it ended on.
-                lineno, end = end + 1, reader.line_num
+                lineno, end = end + 1, start + reader.line_num
                 if not row:
                     continue
                 if len(row) != len(header):
@@ -187,7 +284,7 @@ def read_csv(
                     rows, lines = [], []
             table._append(rows, lines, specs)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ParseError(f"{path}:{start + reader.line_num}: {exc}") from None
     return table
 
 

@@ -295,6 +295,12 @@ class ClassVocab:
         return self._matrix
 
 
+# On a stripped line, a scan that ends at the line's end accepts exactly
+# what ``json.loads`` accepts: the whitespace ``json.loads`` skips around
+# the value is gone, and a leading BOM, which it rejects, fails the scan.
+_scan_json = json.JSONDecoder().raw_decode
+
+
 class TeacherRecord(NamedTuple):
     """One cached teacher response for one sample."""
 
@@ -308,6 +314,9 @@ def read_teacher_records(path: str | Path) -> Iterator[TeacherRecord]:
 
     ``sample_id`` and ``text`` are JSON strings and ``teacher`` a non-negative
     JSON integer, or the line raises :class:`ParseError` naming ``path:line``.
+    A line is JSON when ``json.loads`` takes it, and its error is the one
+    ``json.loads`` gives, including those for an integer over Python's
+    digit limit and for nesting deeper than the recursion limit.
     """
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -315,9 +324,15 @@ def read_teacher_records(path: str | Path) -> Iterator[TeacherRecord]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+                obj, end = _scan_json(line)
+            except (ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                # json.loads refuses what the scan refused; take its message.
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             try:
                 sample_id, teacher_id, text = obj["sample_id"], obj["teacher"], obj["text"]
             except (KeyError, TypeError):

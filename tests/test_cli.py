@@ -4,6 +4,7 @@ import io
 import json
 import os
 import struct
+import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -1157,6 +1158,38 @@ def test_failed_write_names_its_target_exit_3(argv, target, tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno ") and err.endswith(f": '{target}'\n"), err
     assert set(tmp_path.rglob("*")) == before
+
+
+# JSON past the parser's limits: an integer with more digits than Python
+# converts, and nesting deeper than the recursion limit. Each escaped
+# cli.main as a traceback (exit 1); as a record it is a data error, as a
+# config a config error.
+HUGE_INT = b"9" * 5000
+DEEP_NESTING = b"[" * 100_000
+DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integers of any length"
+)
+
+
+@pytest.mark.parametrize(
+    "kind, replaced, expected",
+    [
+        pytest.param(
+            "label",
+            {"t.jsonl": b'{"sample_id": "s0", "teacher": ' + HUGE_INT + b', "text": "car"}\n'},
+            3, id="label-huge-int", marks=DIGIT_LIMIT,
+        ),
+        pytest.param("label", {"t.jsonl": DEEP_NESTING + b"\n"}, 3, id="label-deep-nesting"),
+        pytest.param("simulate", {"config.json": b'{"seed": ' + HUGE_INT + b"}"}, 2,
+                     id="simulate-huge-int", marks=DIGIT_LIMIT),
+        pytest.param("simulate", {"config.json": DEEP_NESTING}, 2, id="simulate-deep-nesting"),
+        pytest.param("train", {"config.json": b'{"seed": ' + HUGE_INT + FUZZ_TRAIN_PATHS}, 2,
+                     id="train-huge-int", marks=DIGIT_LIMIT),
+        pytest.param("train", {"config.json": DEEP_NESTING}, 2, id="train-deep-nesting"),
+    ],
+)
+def test_json_past_the_parser_limits_exits_cleanly(kind, replaced, expected):
+    assert run_cli(kind, replaced)[0] == expected
 
 
 def affordable(config: bytes) -> bool:

@@ -10,6 +10,7 @@ import io
 import json
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -280,6 +281,9 @@ BLOCK = 4
 BLOCK_EDGE_ROWS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
 # Ids built from the characters CSV must quote, so rows span lines.
 QUOTED_IDS = st.text(st.sampled_from('ab,"\n é'), max_size=4)
+# Ids CSV writes as they are, so their blocks take the C parser; the "p"
+# keeps them apart from every QUOTED_IDS id.
+PLAIN_IDS = st.text(st.sampled_from("ab é\t"), max_size=3).map(lambda s: "p" + s)
 INT64 = st.integers(-(2**63), 2**63 - 1).map(str)
 FLOAT32 = st.floats(allow_nan=False, allow_infinity=False, width=32).map(str)
 
@@ -287,7 +291,11 @@ FLOAT32 = st.floats(allow_nan=False, allow_infinity=False, width=32).map(str)
 @st.composite
 def block_edge_csvs(draw):
     """(reader, header, rows, blank-line flags) for a file whose row count
-    sits on a block edge; a blank line goes before each flagged row."""
+    sits on a block edge; a blank line goes before each flagged row. The
+    ids are plain up to a drawn row and drawn from QUOTED_IDS after it, so
+    a file may switch from the C parser to csv.reader in any block, or
+    never. Only rows after the switch are flagged, since a blank line
+    sends its block to csv.reader."""
     reader = draw(st.sampled_from(sorted(CSV_READERS)))
     n = draw(st.sampled_from(BLOCK_EDGE_ROWS))
     if reader == "pseudo_labels":
@@ -300,9 +308,12 @@ def block_edge_csvs(draw):
         cells = [FLOAT32] * dim + [st.integers(0, 2**63 - 1).map(str)] * has_label
     else:
         header, cells = ["sample_id", "label"], [INT64]
-    ids = draw(st.lists(QUOTED_IDS, min_size=n, max_size=n, unique=True))
+    switch = draw(st.integers(0, n), label="first row with a QUOTED_IDS id")
+    ids = draw(st.lists(PLAIN_IDS, min_size=switch, max_size=switch, unique=True))
+    ids += draw(st.lists(QUOTED_IDS, min_size=n - switch, max_size=n - switch, unique=True))
     rows = [[sid] + [draw(cell) for cell in cells] for sid in ids]
-    blanks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    blanks = [False] * switch
+    blanks += draw(st.lists(st.booleans(), min_size=n - switch, max_size=n - switch))
     return reader, header, rows, blanks
 
 
@@ -374,6 +385,143 @@ def test_block_edges_bad_value_names_its_start_line(tmp_path_factory, csv_file, 
     with mock.patch.object(fileio, "_BLOCK_ROWS", BLOCK):
         with pytest.raises(ParseError, match=re.escape(f"{path}:{lines[i]}: expected ")):
             CSV_READERS[reader][0](path)
+
+
+def read_outcome(reader: str, path):
+    """What ``reader`` makes of ``path``, as plain data, or its error message."""
+    try:
+        loaded = CSV_READERS[reader][0](path)
+    except ParseError as exc:
+        return str(exc)
+    if reader == "pseudo_labels":
+        return loaded.sample_ids, loaded.labels.tolist()
+    if reader == "features":
+        labels = None if loaded.true_labels is None else loaded.true_labels.tolist()
+        return loaded.sample_ids, loaded.features.tolist(), labels
+    return loaded
+
+
+# Files (read with BLOCK-row blocks) that must read as the csv.reader
+# block path alone reads them: case -> (reader, file text, the result, or
+# the error after "path:", or None where csv.reader's answer depends on
+# the Python version). np.loadtxt refuses the first two values, which
+# Python's int() takes, and takes the last two, which int() refuses.
+PLAIN_PATH_CASES = {
+    "underscore-digits": ("labels", "sample_id,label\na,1_0\n", {"a": 10}),
+    "arabic-indic-digit": ("labels", "sample_id,label\na,\u0661\n", {"a": 1}),
+    "padded-int": ("labels", "sample_id,label\na, 1\nb,2 \n", {"a": 1, "b": 2}),
+    "extra-field": ("labels", "sample_id,label\na,1\nb,2,3\n", "3: expected 2 fields, got 3"),
+    "float-in-int-column": ("labels", "sample_id,label\na,1\nb,3.0\n",
+                            "3: expected int64, got ['3.0']"),
+    "crlf": ("pseudo_labels", "sample_id,teacher_0,teacher_1\r\na,1,0\r\nb,0,1\r\n",
+             (["a", "b"], [[1, 0], [0, 1]])),
+    "lone-cr": ("pseudo_labels", "sample_id,teacher_0,teacher_1\ra,1,0\rb,0,1\r",
+                (["a", "b"], [[1, 0], [0, 1]])),
+    "quoted-ids": ("labels", 'sample_id,label\n"a",1\n"b""c",2\n', {"a": 1, 'b"c': 2}),
+    "nul-in-id": ("labels", "sample_id,label\na\0b,1\n", None),
+    "id-over-field-limit": (
+        "labels", "sample_id,label\na,1\n" + "b" * (csv.field_size_limit() + 1) + ",1\n",
+        f"3: field larger than field limit ({csv.field_size_limit()})",
+    ),
+    "blank-line-at-block-edge": (
+        "labels", "sample_id,label\na,1\nb,1\nc,1\nd,1\n\ne,1\r\n\r\nf,2\n\n",
+        {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1, "f": 2},
+    ),
+    "repeated-id-in-plain-block": ("labels", "sample_id,label\na,1\nb,1\na,2\n",
+                                   "4: duplicate sample_id 'a'"),
+    "repeated-id-across-blocks": ("labels", "sample_id,label\na,1\nb,1\nc,1\nd,1\ne,1\nb,2\n",
+                                  "7: duplicate sample_id 'b'"),
+    "float32-overflow": ("features", "sample_id,f0,f1,label\na,1e39,0,1\n",
+                         "2: expected float32, got ['1e39', '0']"),
+    "nan-literal": ("features", "sample_id,f0,f1,label\na,0,nan,1\n", "2: non-finite feature"),
+    "U+001C-padded": ("labels", "sample_id,label\na,\x1c1\n", "2: expected int64, got ['\\x1c1']"),
+    "U+01FE-digit": ("labels", "sample_id,label\na,\u01fe\n", "2: expected int64, got ['\u01fe']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_PATH_CASES))
+def test_file_reads_as_the_block_path_reads_it(tmp_path, monkeypatch, case):
+    reader, text, expected = PLAIN_PATH_CASES[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", BLOCK)
+    outcome = read_outcome(reader, path)
+    if expected is not None:
+        assert outcome == (f"{path}:{expected}" if isinstance(expected, str) else expected)
+    monkeypatch.setattr(fileio.CsvTable, "_append_plain", lambda *args: False)
+    assert read_outcome(reader, path) == outcome
+
+
+def test_file_of_ids_alone_reads(tmp_path):
+    # Lines without a comma: no value for loadtxt and no id to cut at one.
+    path = tmp_path / "ids.csv"
+    path.write_text("sample_id\na\nb\n", encoding="utf-8")
+    table = fileio.read_csv(path, lambda header: (["sample_id"], [(slice(1, None), np.int64)]))
+    assert table.sample_ids == ["a", "b"]
+    assert table.arrays[0].shape == (2, 0)
+    assert table.lines.tolist() == [2, 3]
+
+
+@pytest.mark.parametrize("value", ["3.0", "3e0", "3E0"])
+def test_integer_spelled_as_a_float_never_reaches_loadtxt(tmp_path, monkeypatch, value):
+    # numpy releases inside the numpy>=1.24 floor parse "3.0" into an
+    # integer column with a DeprecationWarning; what a file may hold must
+    # not depend on the numpy release, so such a block takes the block path.
+    def loadtxt_parsing_ints_via_floats(lines, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.full((len(lines), 1), 3, dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_parsing_ints_via_floats)
+    path = tmp_path / "labels.csv"
+    path.write_text(f"sample_id,label\na,3\nb,{value}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: expected int64, got ['{value}']")):
+        data.load_labels_csv(path)
+
+
+def test_loadtxt_never_sees_an_empty_block(tmp_path, monkeypatch):
+    # On no lines loadtxt warns "input contained no data": every block it
+    # sees holds a row. A blank line sends its block to csv.reader.
+    seen_lines = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(lines, *args, **kwargs):
+        seen_lines.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", BLOCK)
+    path = tmp_path / "labels.csv"
+    rows = {f"s{i}": i for i in range(2 * BLOCK)}
+    for body, expected in [
+        ("", {}),
+        ("\n\n", {}),
+        ("".join(f"{sid},{label}\n" for sid, label in rows.items()), rows),
+        ("".join(f"{sid},{label}\n\n" for sid, label in rows.items()), rows),
+    ]:
+        path.write_text("sample_id,label\n" + body, encoding="utf-8")
+        assert data.load_labels_csv(path) == expected
+    assert seen_lines == [BLOCK] * 2
+
+
+def test_read_holds_no_run_of_blank_lines(tmp_path, monkeypatch):
+    """What a read allocates and frees again does not grow with a run of
+    blank lines: csv.reader drops each as it reads it."""
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", 64)
+
+    def transient(blank: int) -> int:
+        path = tmp_path / f"{blank}.csv"
+        path.write_bytes(b"sample_id,label\r\na,1\r\n" + b"\r\n" * blank + b"b,2\r\n")
+        tracemalloc.start()
+        try:
+            labels = data.load_labels_csv(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels == {"a": 1, "b": 2}
+        return peak - retained
+
+    assert transient(20_000) < 1.5 * transient(10_000)
 
 
 def test_read_holds_one_block_of_rows(tmp_path, monkeypatch):

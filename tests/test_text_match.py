@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -447,6 +449,66 @@ class TestTeacherRecordsIO:
         path = tmp_path / "t.jsonl"
         path.write_text("{oops\n", encoding="utf-8")
         with pytest.raises(ParseError):
+            list(rd.read_teacher_records(path))
+
+    # A line must read as json.loads reads it, stripped: the same record,
+    # or a ParseError carrying json.loads's message. (line, accepted)
+    @pytest.mark.parametrize(
+        "line, accepted",
+        [
+            pytest.param('{"sample_id": "s0", "teacher": 0, "text": "car"', False, id="truncated"),
+            pytest.param('{"sample_id": "s0", "teacher": 0, "text": "car"} {}', False,
+                         id="extra-data"),
+            pytest.param('{"sample_id": "s0", "teacher": 0, "text": "car"}]', False,
+                         id="trailing-bracket"),
+            pytest.param('\ufeff{"sample_id": "s0", "teacher": 0, "text": "car"}', False,
+                         id="leading-bom"),
+            pytest.param(
+                '{"sample_id": "s0", "teacher": 0, "text": "car", "p": [NaN, Infinity, -Infinity]}',
+                True, id="nan-infinity",
+            ),
+            pytest.param('\u3000\xa0{"sample_id": "s0", "teacher": 0, "text": "car"}\u2028 \t',
+                         True, id="unicode-whitespace"),
+            pytest.param('{ "sample_id" :"s0",\t"teacher":0 , "text":"car" }', True,
+                         id="inner-whitespace"),
+        ],
+    )
+    def test_line_reads_as_json_loads_reads_it(self, tmp_path, line, accepted):
+        path = tmp_path / "t.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            obj = json.loads(line.strip())
+        except json.JSONDecodeError as exc:
+            assert not accepted
+            with pytest.raises(ParseError) as excinfo:
+                list(rd.read_teacher_records(path))
+            assert str(excinfo.value) == f"{path}:1: invalid JSON: {exc}"
+        else:
+            assert accepted
+            expected = rd.TeacherRecord(obj["sample_id"], obj["teacher"], obj["text"])
+            assert list(rd.read_teacher_records(path)) == [expected]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param(
+                '{"sample_id": "s1", "teacher": ' + "9" * 5000 + ', "text": "car"}',
+                "Exceeds the limit (4300 digits) for integer string conversion",
+                id="5000-digit-teacher",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integers of any length",
+                ),
+            ),
+            pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deep-nesting"),
+        ],
+    )
+    def test_line_past_the_parser_limits_names_its_line(self, tmp_path, line, message):
+        # Both escaped read_teacher_records (ValueError, RecursionError).
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"sample_id": "s0", "teacher": 0, "text": "car"}\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: invalid JSON: {message}")):
             list(rd.read_teacher_records(path))
 
 
