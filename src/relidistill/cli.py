@@ -152,7 +152,9 @@ def cmd_simulate(args) -> int:
         _from_json(data.SimTeacherSpec, entry, f"teachers[{i}]", seed=spec["seed"])
         for i, entry in enumerate(spec["teachers"])
     ]
-    names = spec.get("class_names") or [f"class {c:02d}" for c in range(n_classes)]
+    names = spec.get("class_names")
+    if names is None:
+        names = [f"class {c:02d}" for c in range(n_classes)]
     if len(names) != n_classes:
         raise ConfigError("class_names length must equal n_classes")
     vocab = text_match.ClassVocab(names)

@@ -43,7 +43,7 @@ class PseudoLabelMatrix:
         if len(set(self.sample_ids)) != len(self.sample_ids):
             raise DataError("duplicate sample ids in pseudo-label matrix")
         if self.labels.shape[1] < 2:
-            raise ConfigError("reliability needs at least 2 teachers")
+            raise DataError("reliability needs at least 2 teachers")
         if self.n_classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.labels.size and (
@@ -190,10 +190,11 @@ def write_matrix_csv(matrix: PseudoLabelMatrix, path: str | Path) -> None:
 def read_matrix_csv(path: str | Path, n_classes: int | None = None) -> PseudoLabelMatrix:
     """Read a pseudo-label CSV; infers C = max label + 1 when not given.
 
-    A label outside 0..C-1 (such as -1) raises :class:`ParseError`
-    naming the first row that holds one."""
+    A header of fewer than 2 teacher columns is malformed, and a label outside
+    0..C-1 (such as -1) raises :class:`ParseError` naming the first row holding one."""
     table = read_csv(
-        path, lambda header: (_matrix_header(len(header) - 1), [(slice(1, None), np.int64)])
+        path,
+        lambda header: (_matrix_header(max(2, len(header) - 1)), [(slice(1, None), np.int64)]),
     )
     (labels,) = table.arrays
     if n_classes is None:

@@ -366,7 +366,7 @@ def run_curriculum(
     part = partition(pl)
     if warm_start is not None:
         if warm_start.layer_dims[0] != X.shape[1] or warm_start.n_classes != pl.n_classes:
-            raise ConfigError("warm-start checkpoint does not match data dims")
+            raise DataError("warm-start checkpoint does not match data dims")
         warm_hidden = list(warm_start.layer_dims[1:-1])
         if hidden_dims is not None and list(hidden_dims) != warm_hidden:
             raise ConfigError(

@@ -116,9 +116,10 @@ def load_class_vocab(path: str | Path) -> ClassVocab:
     for lineno, name in enumerate(names, start=1):
         if not name.strip():
             raise ParseError(f"{path}:{lineno}: blank class name")
-    if len(names) < 2:
-        raise ParseError(f"{path}: need at least 2 class names")
-    return ClassVocab(names)
+    try:
+        return ClassVocab(names)
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_class_vocab(vocab: ClassVocab, path: str | Path) -> None:

@@ -10,7 +10,7 @@ class RelidistillError(Exception):
 
 
 class ConfigError(RelidistillError):
-    """Invalid configuration or violated precondition."""
+    """An invalid config value or flag, or a violated call precondition."""
 
 
 class DataError(RelidistillError):

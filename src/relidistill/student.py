@@ -293,8 +293,6 @@ def augment(
         raise ShapeMismatchError(f"{np.shape(rows)} row indices for input of shape {X.shape}")
     sigma = policy.sigma_weak if view == "weak" else policy.sigma_strong
     p_drop = policy.p_drop if view == "strong" else 0.0
-    if sigma == 0.0 and p_drop == 0.0:
-        return X.copy()
     dim = X.shape[1]
     half = (dim + 1) // 2
     u = keyed_uniform(

@@ -284,9 +284,9 @@ class ClassVocab:
             for name in self.names:
                 vec = embed_text(name, backend)
                 if not np.any(vec):
-                    raise ConfigError(f"class name {name!r} embeds to the zero vector")
+                    raise DataError(f"class name {name!r} embeds to the zero vector")
                 if not np.all(np.isfinite(vec)):
-                    raise ConfigError(f"class name {name!r} embeds to a non-finite vector")
+                    raise DataError(f"class name {name!r} embeds to a non-finite vector")
                 vec = vec / np.max(np.abs(vec))  # so ``vec @ vec`` cannot under- or overflow
                 rows.append(vec / math.sqrt(float(vec @ vec)))
             matrix = np.array(rows)
@@ -451,8 +451,6 @@ def label_records(
     n_teachers = len(teacher_ids)
     if teacher_ids != list(range(n_teachers)):
         raise DataError(f"teacher ids must cover 0..M-1, got {teacher_ids}")
-    if n_teachers < 2:
-        raise ConfigError("need at least 2 teachers")
     sample_order = list(row_of)
     cells = np.array(rows, dtype=np.int64) * n_teachers + np.array(teachers, dtype=np.int64)
     _, first = np.unique(cells, return_index=True)

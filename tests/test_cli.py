@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relidistill.cli import _parse_backend, main, parse_stage_configs
@@ -649,7 +649,7 @@ class TestSimulate:
         assert matrix.sample_ids == ds.sample_ids
         assert matrix.m == 3
 
-    @pytest.mark.parametrize("n_names", [3, 5])
+    @pytest.mark.parametrize("n_names", [0, 3, 5])
     def test_class_names_length_differs_exit_2(self, tmp_path, capsys, n_names):
         spec = tmp_path / "sim.json"
         names = [f"class {c}" for c in range(n_names)]
@@ -1025,13 +1025,13 @@ class FuzzKind(NamedTuple):
 
 
 FUZZ_KINDS = {
-    "label": FuzzKind("label t.jsonl v.txt --out pl.csv", {0, 2, 3},
+    "label": FuzzKind("label t.jsonl v.txt --out pl.csv", {0, 3},
                       {"t.jsonl": FUZZ_RECORDS, "v.txt": FUZZ_VOCAB}),
     "label-precomputed": FuzzKind(
-        "label t.jsonl v.txt --backend precomputed:e.tsv --out pl.csv", {0, 2, 3},
+        "label t.jsonl v.txt --backend precomputed:e.tsv --out pl.csv", {0, 3},
         {"t.jsonl": FUZZ_RECORDS, "v.txt": FUZZ_VOCAB, "e.tsv": FUZZ_TABLE},
     ),
-    "partition": FuzzKind("partition pl.csv --out part.csv", {0, 2, 3},
+    "partition": FuzzKind("partition pl.csv --out part.csv", {0, 3},
                           {"pl.csv": FUZZ_PSEUDO_LABELS}),
     "eval": FuzzKind("eval model.bin features.csv --out acc.json", {0, 3},
                      {"model.bin": FUZZ_CHECKPOINT, "features.csv": FUZZ_FEATURES}),
@@ -1053,7 +1053,7 @@ FUZZ_KINDS = {
 
 def run_cli(
     kind: str, replaced: dict[str, bytes] | None = None, argv: str | None = None
-) -> tuple[int, dict[str, bytes]]:
+) -> tuple[int, dict[str, bytes], str]:
     """Run ``FUZZ_KINDS[kind]``'s command, or ``argv`` in its place, in a
     fresh directory holding the kind's seed files, ``replaced`` written over
     them, and check the contract of
@@ -1061,7 +1061,7 @@ def run_cli(
     traceback); a failure's stderr starts with ``error:``; and after a
     failure the directory, searched recursively, holds exactly the paths
     it held before, except what the kind may keep after exit 4. Returns
-    the exit code and the bytes of each file the run added."""
+    the exit code, the bytes of each file the run added, and its stderr."""
     row = FUZZ_KINDS[kind]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -1082,13 +1082,13 @@ def run_cli(
             kept = {tmp / name for name in row.kept_on_exit_4} if code == 4 else set()
             assert after - kept == before
         added = (p for p in after - before if p.is_file())
-        return code, {str(p.relative_to(tmp)): p.read_bytes() for p in added}
+        return code, {str(p.relative_to(tmp)): p.read_bytes() for p in added}, err.getvalue()
 
 
 @pytest.mark.parametrize("kind", FUZZ_KINDS)
 def test_fuzz_seed_inputs_exit_0(kind):
     # Mutations start from a passing run, so no fuzz passes vacuously.
-    code, written = run_cli(kind)
+    code, written, _ = run_cli(kind)
     assert code == 0
     if kind == "label-precomputed":
         assert written["pl.csv"].decode("utf-8").splitlines()[1:] == ["s0,0,0", "s1,2,1"]
@@ -1122,8 +1122,8 @@ SIM_CONFIG = json.loads(FUZZ_SIM_CONFIG)
     ],
 )
 def test_default_spelled_out_runs_as_the_default(kind, argv, replaced, reference):
-    code, written = run_cli(kind, replaced, argv)
-    reference_code, expected = run_cli(kind, reference)
+    code, written, _ = run_cli(kind, replaced, argv)
+    reference_code, expected, _ = run_cli(kind, reference)
     assert code == reference_code == 0
     written.pop("out/timing.json", None)
     expected.pop("out/timing.json", None)
@@ -1190,6 +1190,46 @@ DIGIT_LIMIT = pytest.mark.skipif(
 )
 def test_json_past_the_parser_limits_exits_cleanly(kind, replaced, expected):
     assert run_cli(kind, replaced)[0] == expected
+
+
+# Faults in a file the command reads. Each exited 2, as a config error,
+# because the code that found it could not know its input came from a file.
+ONE_TEACHER_COLUMN = b"sample_id,teacher_0\na,0\n"
+
+
+@pytest.mark.parametrize(
+    "kind, replaced, message",
+    [
+        pytest.param(
+            "label",
+            {"t.jsonl": b"".join(line for line in FUZZ_RECORDS.splitlines(keepends=True)
+                                 if b'"teacher": 0' in line)},
+            "reliability needs at least 2 teachers", id="records-of-one-teacher",
+        ),
+        pytest.param("partition", {"pl.csv": ONE_TEACHER_COLUMN}, "pl.csv: malformed header",
+                     id="partition-one-teacher-column"),
+        pytest.param("train", {"pl.csv": ONE_TEACHER_COLUMN}, "pl.csv: malformed header",
+                     id="train-one-teacher-column"),
+        pytest.param("label", {"v.txt": b"car\n?!\n"},
+                     "v.txt: class names must be non-empty after normalization",
+                     id="vocab-name-empty-after-normalization"),
+        pytest.param("label", {"v.txt": b"Car\ncar\n"},
+                     "v.txt: class names must be unique after normalization",
+                     id="vocab-names-clash"),
+        pytest.param("label-precomputed",
+                     {"e.tsv": FUZZ_TABLE.replace(b"car\t1 0 0", b"car\t0 0 0")},
+                     "class name 'car' embeds to the zero vector", id="table-zero-class-vector"),
+        pytest.param("train",
+                     {"model.bin": FUZZ_CHECKPOINT,  # 2 classes, and the vocabulary has 3
+                      "config.json": FUZZ_TRAIN_CONFIG + b', "warm_start_checkpoint": "model.bin"'
+                      + FUZZ_TRAIN_PATHS},
+                     "warm-start checkpoint does not match data dims",
+                     id="warm-start-checkpoint-of-other-classes"),
+    ],
+)
+def test_data_file_fault_exits_3(kind, replaced, message):
+    code, _, err = run_cli(kind, replaced)
+    assert code == 3 and err.startswith(f"error: {message}"), err
 
 
 def affordable(config: bytes) -> bool:
@@ -1284,3 +1324,68 @@ def test_simulate_fuzzed_config_exits_cleanly(config_bytes):
 def test_train_fuzzed_config_exits_cleanly(config_bytes):
     assume(affordable(config_bytes + b"}"))
     run_cli("train", {"config.json": config_bytes + FUZZ_TRAIN_PATHS})
+
+
+def leaves(obj, path: tuple = ()) -> list[tuple[tuple, object]]:
+    """(key path, value) of every value in ``obj`` that is neither an object
+    nor a list, in document order."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [(path, obj)]
+    return [leaf for key, value in items for leaf in leaves(value, (*path, key))]
+
+
+# What a config leaf may be replaced with: edge values of its own type,
+# a value of each other JSON type, and, for a learning rate, one that
+# overflows the stage it is given to.
+VALUE_EDITS = {int: (0, -1, 2**63), float: (1e308, -0.0, 0, -1), str: ("",)}
+OTHER_TYPES = (None, True, [], {})
+DIVERGING_LEARNING_RATE = 1e200
+
+
+@st.composite
+def edited_configs(draw, config: dict) -> dict:
+    """``config`` with one or two of its leaves replaced (see VALUE_EDITS)."""
+    paths = draw(st.lists(st.sampled_from(leaves(config)), min_size=1, max_size=2, unique=True))
+    for path, value in paths:
+        extra = (DIVERGING_LEARNING_RATE,) if path[-1] == "learning_rate" else ()
+        choices = VALUE_EDITS[type(value)] + OTHER_TYPES + extra
+        config = edited(config, path, draw(st.sampled_from(choices)))
+    return config
+
+
+TRAIN_CONFIG = json.loads(FUZZ_TRAIN_CONFIG + b"}")
+
+
+def diverging(stage: int) -> dict:
+    return edited(TRAIN_CONFIG, ("stages", stage, "learning_rate"), DIVERGING_LEARNING_RATE)
+
+
+# A stage that diverges keeps the checkpoints of the stages before it, and
+# only those: stage index -> the files the failed run leaves.
+KEPT_BY_DIVERGING = {1: ["out/checkpoint_rkt.bin"],
+                     2: ["out/checkpoint_rkt.bin", "out/checkpoint_smke.bin"]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(edited_configs(SIM_CONFIG))
+def test_simulate_value_fuzzed_config_exits_cleanly(config):
+    config_bytes = json.dumps(config).encode("utf-8")
+    assume(affordable(config_bytes))
+    run_cli("simulate", {"config.json": config_bytes})
+
+
+@settings(max_examples=60, deadline=None)
+@example(diverging(1))
+@example(diverging(2))
+@given(edited_configs(TRAIN_CONFIG))
+def test_train_value_fuzzed_config_exits_cleanly(config):
+    config_bytes = json.dumps(config).encode("utf-8")
+    assume(affordable(config_bytes))
+    code, written, _ = run_cli("train", {"config.json": config_bytes[:-1] + FUZZ_TRAIN_PATHS})
+    for stage, kept in KEPT_BY_DIVERGING.items():
+        if config == diverging(stage):
+            assert code == 4 and sorted(written) == kept

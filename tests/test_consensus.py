@@ -181,7 +181,7 @@ class TestMatrixPlumbing:
             rd.PseudoLabelMatrix(["a"], np.array([[1, -1, 2]]), 4)
 
     def test_matrix_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             rd.PseudoLabelMatrix(["a"], np.array([[1]]), 3)  # one teacher
         with pytest.raises(DataError):
             rd.PseudoLabelMatrix(["a"], np.array([[1, 5]]), 3)  # out of range

@@ -448,7 +448,7 @@ class TestRunCurriculum:
         with pytest.raises(ConfigError, match="hidden_dims"):
             rd.run_curriculum(ds, pl, self._configs(), seed=3, hidden_dims=[7], warm_start=warm)
         bad = rd.init_student([ds.dim + 1, 16, 4], seed=41)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="does not match data dims"):
             rd.run_curriculum(ds, pl, self._configs(), seed=3, warm_start=bad)
 
     def test_failed_stage_keeps_prior_checkpoints(

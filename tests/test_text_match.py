@@ -235,7 +235,7 @@ class TestClassVocab:
 
     def test_class_matrix_rejects_zero_name_embedding(self):
         table = rd.PrecomputedTable({"car": np.array([1.0, 0.0]), "bus": np.zeros(2)})
-        with pytest.raises(ConfigError, match="bus"):
+        with pytest.raises(DataError, match="bus"):
             rd.ClassVocab(["car", "bus"]).class_matrix(table)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -685,7 +685,7 @@ class TestNonFiniteEmbeddings:
             }
         )
         records = [rd.TeacherRecord("s0", t, "a kettle") for t in (0, 1)]
-        with pytest.raises(ConfigError, match="'bus' embeds to a non-finite vector"):
+        with pytest.raises(DataError, match="'bus' embeds to a non-finite vector"):
             rd.label_records(records, rd.ClassVocab(["car", "bus"]), table)
 
 
@@ -866,7 +866,7 @@ ARGUMENT_CHECKS = [
     pytest.param(
         lambda tmp: rd.label_records(TWO_RECORDS[:1], rd.ClassVocab(["car", "bus"]),
                                      rd.TrigramEmbedder()),
-        ConfigError, "need at least 2 teachers", id="label-one-teacher",
+        DataError, "reliability needs at least 2 teachers", id="label-one-teacher",
     ),
 ]
 
