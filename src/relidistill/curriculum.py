@@ -39,6 +39,7 @@ from .errors import ConfigError, DataError, StageError
 from .fileio import atomic_write_text
 from .seeding import SHUFFLE, derive_rng
 from .student import (
+    F32_MAX,
     AugmentPolicy,
     StudentModel,
     augment,
@@ -65,7 +66,6 @@ STAGE_DEFAULTS = {STAGE_SMKE: {"tau": 0.7}, STAGE_MMR: {"tau": 0.95, "lambda_con
 DEFAULT_HIDDEN_DIMS = [128]
 
 LOSS_SAMPLE_EVERY = 50
-F32_MAX = float(np.finfo(np.float32).max)  # checkpoints store float32
 
 
 @dataclass

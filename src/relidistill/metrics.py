@@ -34,7 +34,7 @@ def accuracy(predictions, truths) -> float:
     return float(np.mean(predictions == truths))
 
 
-def ensemble_baseline(pl: PseudoLabelMatrix, truths, seed: int = 0) -> float:
+def ensemble_baseline(pl: PseudoLabelMatrix, truths, seed: int) -> float:
     """Accuracy of the per-row mode label with seeded random tie-breaks."""
     truths = np.asarray(truths, dtype=np.int64)
     if truths.shape != (pl.n,):
@@ -84,7 +84,7 @@ def reliability_report(
     pl: PseudoLabelMatrix,
     part: ReliabilityPartition,
     truths,
-    seed: int = 0,
+    seed: int,
 ) -> ReliabilityReport:
     """Per-reliability-level accuracy diagnostic."""
     truths = np.asarray(truths, dtype=np.int64)

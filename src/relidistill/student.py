@@ -5,11 +5,13 @@ cross-entropy gradients, and an adaptive-moment optimizer. Everything
 runs in float64 for gradient fidelity; checkpoints store float32
 little-endian, and a file survives load -> save byte-identically.
 
-All parameters live in one flat vector, ``StudentModel.params``: layer
-by layer, the (fan_in, fan_out) weights row-major, then the fan_out
-biases. The gradient of :func:`loss_and_grads`, both optimizer moments
-and the checkpoint payload share that layout, and :func:`_layers` is
-the one place that spells it out.
+A model is its parameter vector: ``StudentModel(layer_dims, params)``
+takes one flat vector, layer by layer the (fan_in, fan_out) weights
+row-major, then the fan_out biases. The gradient of
+:func:`loss_and_grads`, both optimizer moments and the checkpoint
+payload share that layout, and :func:`_layers` is the one place that
+spells it out. Checkpoints hold float32, so :func:`save_checkpoint`
+refuses parameters beyond ``F32_MAX``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .fileio import atomic_write_bytes
 from .seeding import AUGMENT, INIT, derive_rng, keyed_uniform
 
 CHECKPOINT_MAGIC = b"RCLM0001"
+F32_MAX = float(np.finfo(np.float32).max)  # the largest value a checkpoint holds
 
 PROB_FLOOR = 1e-12  # clamp before logs; saturated softmax otherwise underflows
 
@@ -55,43 +58,38 @@ def _layers(layer_dims: list[int], vec: np.ndarray):
     return weights, biases
 
 
-@dataclass
+@dataclass(eq=False)
 class StudentModel:
     """A student MLP; ``layer_dims`` is [d, h1, ..., C].
 
-    The constructor copies the given per-layer arrays into ``params``,
-    one float64 vector in checkpoint order, and rebinds ``weights[l]``
-    and ``biases[l]`` to views into it: writing either changes
-    ``params``. A shape that disagrees with ``layer_dims`` raises
-    ShapeMismatchError.
+    The constructor copies ``params``, one vector in checkpoint order,
+    to float64; ``weights[l]`` and ``biases[l]`` are views into it, so
+    writing either changes ``params``. A vector whose shape is not
+    ``(n_params,)`` for ``layer_dims`` raises ShapeMismatchError.
     """
 
     layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    params: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.layer_dims) < 2 or min(self.layer_dims) < 1:
             raise ConfigError(f"bad layer dims {self.layer_dims}")
-        self.params = np.empty(_n_params(self.layer_dims))
-        weights, biases = _layers(self.layer_dims, self.params)
-        if len(self.weights) != len(weights) or len(self.biases) != len(biases):
-            raise ShapeMismatchError(f"{len(weights)} layers expected for dims {self.layer_dims}")
-        for given, view in zip([*self.weights, *self.biases], weights + biases):
-            if np.shape(given) != view.shape:
-                raise ShapeMismatchError(
-                    f"parameter shape {np.shape(given)} != {view.shape} for dims {self.layer_dims}"
-                )
-            view[...] = given
-        self.weights, self.biases = weights, biases
+        n = _n_params(self.layer_dims)
+        self.params = np.array(self.params, dtype=np.float64)
+        if self.params.shape != (n,):
+            raise ShapeMismatchError(
+                f"parameter shape {self.params.shape} != ({n},) for dims {self.layer_dims}"
+            )
+        self.weights, self.biases = _layers(self.layer_dims, self.params)
 
     @property
     def n_classes(self) -> int:
         return self.layer_dims[-1]
 
     def copy(self) -> "StudentModel":
-        return StudentModel(list(self.layer_dims), self.weights, self.biases)
+        return StudentModel(list(self.layer_dims), self.params)
 
 
 def init_student(layer_dims: list[int], seed: int) -> StudentModel:
@@ -99,12 +97,11 @@ def init_student(layer_dims: list[int], seed: int) -> StudentModel:
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
         raise ConfigError(f"bad layer dims {layer_dims}")
     rng = derive_rng(seed, INIT)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return StudentModel(list(layer_dims), weights, biases)
+    model = StudentModel(list(layer_dims), np.zeros(_n_params(layer_dims)))
+    for w in model.weights:
+        bound = 1.0 / math.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, w.shape)
+    return model
 
 
 def _as_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
@@ -311,7 +308,14 @@ def augment(
 def save_checkpoint(model: StudentModel, path: str | Path) -> None:
     """Binary checkpoint: magic, u64 dim count, u64 dims, then ``params``
     as float32 little-endian. The write is atomic (temp file + rename).
+
+    Parameters that float32 cannot hold (NaN, infinite, or beyond
+    ``F32_MAX``) raise ConfigError and write nothing: the reader would
+    reject the file.
     """
+    # NaN fails the comparison; so does anything float32 would round to inf.
+    if not np.all(np.abs(model.params) <= F32_MAX):
+        raise ConfigError("parameters are not finite in float32; no checkpoint written")
     payload = bytearray(CHECKPOINT_MAGIC)
     payload += struct.pack("<Q", len(model.layer_dims))
     payload += struct.pack(f"<{len(model.layer_dims)}Q", *model.layer_dims)
@@ -339,4 +343,4 @@ def load_checkpoint(path: str | Path) -> StudentModel:
     params = np.frombuffer(raw, dtype="<f4", offset=offset)
     if not np.isfinite(params).all():
         raise ParseError(f"{path}: non-finite parameters")
-    return StudentModel(layer_dims, *_layers(layer_dims, params.astype(np.float64)))
+    return StudentModel(layer_dims, params)

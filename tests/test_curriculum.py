@@ -28,9 +28,8 @@ def model_with_confidence(p_max: float, predicted: int, n_classes: int = 3):
     """Single-layer model whose prediction on e_predicted has max prob p_max."""
     # softmax over (k, 0, ..., 0): e^k / (e^k + C - 1) = p  =>  k = ln(p(C-1)/(1-p))
     k = math.log(p_max * (n_classes - 1) / (1.0 - p_max))
-    w = np.zeros((n_classes, n_classes))
-    w[predicted, predicted] = k
-    model = rd.StudentModel([n_classes, n_classes], [w], [np.zeros(n_classes)])
+    model = rd.StudentModel([n_classes, n_classes], np.zeros(n_classes * n_classes + n_classes))
+    model.weights[0][predicted, predicted] = k
     x = np.zeros(n_classes)
     x[predicted] = 1.0
     return model, x

@@ -61,7 +61,7 @@ class TestReliabilityReport:
     def test_perfect_teachers_single_bin(self):
         pl = rd.PseudoLabelMatrix(["a", "b"], np.full((2, 3), 1), 3)
         part = rd.partition(pl)
-        report = rd.reliability_report(pl, part, np.array([1, 1]))
+        report = rd.reliability_report(pl, part, np.array([1, 1]), seed=0)
         assert len(report.bins) == 1
         assert report.bins[0].score == 1.0
         assert report.bins[0].majority_accuracy == 1.0
@@ -72,7 +72,7 @@ class TestReliabilityReport:
         labels = np.stack([truth, (truth + 1) % 4, (truth + 2) % 4], axis=1)
         pl = rd.PseudoLabelMatrix([f"s{i}" for i in range(12)], labels, 4)
         part = rd.partition(pl)
-        report = rd.reliability_report(pl, part, truth)
+        report = rd.reliability_report(pl, part, truth, seed=0)
         assert len(report.bins) == 1
         bin0 = report.bins[0]
         assert bin0.score == 0.0
@@ -84,7 +84,7 @@ class TestReliabilityReport:
         labels = rng.integers(0, 5, size=(300, 4))
         pl = rd.PseudoLabelMatrix([f"s{i}" for i in range(300)], labels, 5)
         part = rd.partition(pl)
-        report = rd.reliability_report(pl, part, rng.integers(0, 5, size=300))
+        report = rd.reliability_report(pl, part, rng.integers(0, 5, size=300), seed=0)
         assert sum(b.n_samples for b in report.bins) == 300
 
     def test_monotone_trend_on_independent_teachers(self, small_teacher_setup):
@@ -113,15 +113,18 @@ THREE_SAMPLES = rd.PseudoLabelMatrix(["a", "b", "c"], np.array([[0, 0], [0, 1], 
 # Checks no other test reaches: (call, the exception it raises, that
 # exception's message).
 ARGUMENT_CHECKS = [
-    pytest.param(lambda: rd.ensemble_baseline(THREE_SAMPLES, [0, 1]), DataError,
+    pytest.param(lambda: rd.ensemble_baseline(THREE_SAMPLES, [0, 1], seed=0), DataError,
                  "truths must align with the pseudo-label matrix", id="ensemble-truths"),
     pytest.param(
-        lambda: rd.reliability_report(THREE_SAMPLES, rd.partition(THREE_SAMPLES), [[0, 1, 1]]),
+        lambda: rd.reliability_report(
+            THREE_SAMPLES, rd.partition(THREE_SAMPLES), [[0, 1, 1]], seed=0
+        ),
         DataError, "truths must align with the pseudo-label matrix", id="report-truths",
     ),
     pytest.param(
         lambda: rd.reliability_report(
-            THREE_SAMPLES, rd.ReliabilityPartition(np.ones(2), np.array(["R", "R"])), [0, 1, 1]
+            THREE_SAMPLES, rd.ReliabilityPartition(np.ones(2), np.array(["R", "R"])), [0, 1, 1],
+            seed=0,
         ),
         DataError, "partition must align with the pseudo-label matrix", id="report-partition",
     ),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import relidistill as rd
 from relidistill import student
 from relidistill.errors import ConfigError, ParseError, ShapeMismatchError
+from relidistill.seeding import INIT, derive_rng
 from relidistill.student import PROB_FLOOR, loss_and_grads
 
 
@@ -50,7 +51,7 @@ def max_relative_error(analytic, numeric):
 
 class TestForward:
     def test_zero_model_uniform(self):
-        model = rd.StudentModel([3, 4], [np.zeros((3, 4))], [np.zeros(4)])
+        model = rd.StudentModel([3, 4], np.zeros(3 * 4 + 4))
         probs = rd.predict_proba(model, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.allclose(probs, 0.25, atol=1e-12)
 
@@ -66,7 +67,8 @@ class TestForward:
 
     def test_identity_weight_argmax(self):
         d = 4
-        model = rd.StudentModel([d, d], [np.eye(d)], [np.zeros(d)])
+        model = rd.init_student([d, d], seed=0)
+        model.weights[0][...] = np.eye(d)
         x = np.zeros(d)
         x[2] = 10.0
         probs = rd.predict_proba(model, x)
@@ -123,7 +125,8 @@ class TestBackward:
 
     def test_saturated_correct_labels_zero_gradient(self):
         d = 3
-        model = rd.StudentModel([d, d], [np.eye(d) * 50.0], [np.zeros(d)])
+        model = rd.init_student([d, d], seed=0)
+        model.weights[0][...] = np.eye(d) * 50.0
         X = np.eye(d)  # feeds 50 to its own logit
         labels = np.arange(d)  # argmax everywhere, saturated
         grads = rd.backward(model, X, labels)
@@ -154,7 +157,7 @@ class TestOptimizer:
 
     def test_first_step_magnitude_is_learning_rate(self):
         # One parameter, quadratic objective: step = lr * sign(gradient).
-        model = rd.StudentModel([1, 1], [np.array([[2.0]])], [np.array([0.0])])
+        model = rd.StudentModel([1, 1], [2.0, 0.0])  # weight, then bias
         state = rd.init_optimizer(model, 0.1)
         rd.optimizer_step(model, state, np.array([1.5, 0.0]))
         assert model.weights[0][0, 0] == pytest.approx(2.0 - 0.1, abs=1e-7)
@@ -279,13 +282,14 @@ class TestAugment:
 
 class TestConfidence:
     def test_uniform_model(self):
-        model = rd.StudentModel([2, 5], [np.zeros((2, 5))], [np.zeros(5)])
+        model = rd.StudentModel([2, 5], np.zeros(2 * 5 + 5))
         p, predicted = rd.confidence(model, np.array([1.0, -1.0]))
         assert p == pytest.approx(0.2)
         assert predicted == 0  # exact tie resolves to the lowest index
 
     def test_saturated(self):
-        model = rd.StudentModel([3, 3], [np.eye(3) * 50.0], [np.zeros(3)])
+        model = rd.init_student([3, 3], seed=0)
+        model.weights[0][...] = np.eye(3) * 50.0
         p, predicted = rd.confidence(model, np.array([0.0, 1.0, 0.0]))
         assert p > 0.999999
         assert predicted == 1
@@ -360,12 +364,22 @@ class TestCheckpoints:
             rd.load_checkpoint(path)
 
     def test_non_finite_payload(self, tmp_path):
-        model = rd.init_student([3, 2], seed=1)
-        model.weights[0][1, 0] = np.nan
+        # Written by hand: save_checkpoint refuses to write such a file.
+        values = np.zeros(3 * 2 + 2, "<f4")
+        values[2] = np.nan
         path = tmp_path / "m.bin"
-        rd.save_checkpoint(model, path)
+        path.write_bytes(b"RCLM0001" + struct.pack("<3Q", 2, 3, 2) + values.tobytes())
         with pytest.raises(ParseError, match="non-finite"):
             rd.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, 1e39, -np.inf], ids=["nan", "1e39", "-inf"])
+    def test_save_refuses_what_float32_cannot_hold(self, tmp_path, value):
+        model = rd.init_student([3, 2], seed=0)
+        model.biases[0][0] = value
+        path = tmp_path / "m.bin"
+        with pytest.raises(ConfigError, match="not finite in float32"):
+            rd.save_checkpoint(model, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 def reference_adam_step(weights, biases, grads, moments, step, learning_rate):
@@ -415,7 +429,10 @@ class TestParameterLayout:
             y = rng.integers(0, 5, 7)
             _, grads = loss_and_grads(model, X, y)
             rd.optimizer_step(model, state, grads)
-            reference = rd.StudentModel([6, 16, 5], weights, biases)
+            # The layout spelled out here, independently of student._layers.
+            reference = rd.StudentModel([6, 16, 5], np.concatenate(
+                [np.concatenate([w.ravel(), b]) for w, b in zip(weights, biases)]
+            ))
             reference_adam_step(
                 weights, biases, rd.backward(reference, X, y), moments, step, 1e-2
             )
@@ -432,23 +449,28 @@ class TestParameterLayout:
     def test_copy_shares_no_memory(self):
         model = rd.init_student([3, 4, 2], seed=4)
         clone = model.copy()
+        assert clone != model  # models compare by identity, not by array
         assert np.array_equal(clone.params, model.params)
         for a in [model.params, *model.weights, *model.biases]:
             for b in [clone.params, *clone.weights, *clone.biases]:
                 assert not np.shares_memory(a, b)
 
     def test_misshaped_model_rejected(self):
-        # (4, 3) holds the 12 floats a (3, 4) matrix needs, in another layout.
-        with pytest.raises(ShapeMismatchError):
-            rd.StudentModel([3, 4], [np.zeros((4, 3))], [np.zeros(4)])
-        with pytest.raises(ShapeMismatchError):
-            rd.StudentModel([3, 4], [np.zeros((3, 4))], [np.zeros(3)])
-        with pytest.raises(ShapeMismatchError):
-            rd.StudentModel([3, 4, 2], [np.zeros((3, 4))], [np.zeros(4)])
+        # Dims [3, 4] take 3 * 4 weights and 4 biases: one vector of 16.
+        for params in (np.zeros(15), np.zeros(17), np.zeros((4, 4))):
+            with pytest.raises(ShapeMismatchError):
+                rd.StudentModel([3, 4], params)
         with pytest.raises(ConfigError):
-            rd.StudentModel(
-                [3, 0, 2], [np.zeros((3, 0)), np.zeros((0, 2))], [np.zeros(0), np.zeros(2)]
-            )
+            rd.StudentModel([3, 0, 2], np.zeros(2))
+
+    @pytest.mark.parametrize("dims", [[16, 128, 10], [6, 16, 5], [4, 3]])
+    def test_init_draws_match_per_layer_reference(self, dims):
+        rng = derive_rng(6, INIT)
+        expected = []
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            bound = 1 / math.sqrt(fan_in)
+            expected += [rng.uniform(-bound, bound, (fan_in, fan_out)).ravel(), np.zeros(fan_out)]
+        assert rd.init_student(dims, 6).params.tobytes() == np.concatenate(expected).tobytes()
 
     def test_zero_layer_dim_checkpoint_rejected(self, tmp_path):
         # dims [16, 0, 10]: the 10 output biases fill the payload exactly.
