@@ -1,11 +1,18 @@
 """Free-form teacher text to closed-set class labels.
 
 Frozen teachers answer in free text ("The object is an alarm clock."),
-so each response is embedded and matched against the (C, d) matrix of
-class-name embeddings by one cosine call; the argmax class becomes the
+so each response is matched against the (C, d) matrix of class-name
+embeddings by one cosine call; the argmax class becomes the
 pseudo-label, the class matrix coming from the same backend as the
-response (:meth:`ClassVocab.class_matrix`). A backend is anything whose
-``embed(text)`` returns a float64 vector; two are supplied:
+response (:meth:`ClassVocab.class_matrix`). A backend has two methods,
+both of the text as given:
+
+* ``embed(text)`` -- its float64 vector of the backend's one width d,
+  which builds the class side;
+* ``support(text)`` -- the nonzero entries of that vector, as (sorted
+  ``np.intp`` columns, float64 values), which is all an answer needs.
+
+Two are supplied:
 
 * ``PrecomputedTable`` -- a TSV of text -> vector pairs produced offline
   by any sentence embedder.
@@ -23,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -104,16 +112,25 @@ class TrigramEmbedder:
     def __init__(self) -> None:
         self._buckets = _BucketMemo()
 
-    def embed(self, text: str) -> np.ndarray:
+    def support(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """The buckets ``text``'s trigrams fall in, sorted, and their
+        L2-normalized counts; both empty for unmatchable text."""
         normalized = normalize_text(text)
         if not normalized:
-            return np.zeros(TRIGRAM_DIM)
+            return np.empty(0, dtype=np.intp), np.empty(0)
         padded = normalized.ljust(3)
         memo = self._buckets
-        buckets = [memo[padded[i : i + 3]] for i in range(len(padded) - 2)]
-        # Small integer counts, so ``vec @ vec`` is exact in any order.
-        vec = np.bincount(buckets, minlength=TRIGRAM_DIM).astype(np.float64)
-        vec /= math.sqrt(float(vec @ vec))
+        counts = Counter([memo[padded[i : i + 3]] for i in range(len(padded) - 2)])
+        cols = sorted(counts)
+        vals = np.array([counts[c] for c in cols], dtype=np.float64)
+        # Small integer counts, so ``vals @ vals`` is exact in any order.
+        vals /= math.sqrt(float(vals @ vals))
+        return np.array(cols, dtype=np.intp), vals
+
+    def embed(self, text: str) -> np.ndarray:
+        cols, vals = self.support(text)
+        vec = np.zeros(TRIGRAM_DIM)
+        vec[cols] = vals
         return vec
 
 
@@ -121,13 +138,19 @@ class PrecomputedTable:
     """Text -> embedding lookup loaded from a TSV file.
 
     Line format: ``text<TAB>f1 f2 ... fd`` with d constant per file.
-    Lookups match the raw text exactly; a miss raises
-    :class:`LookupMissError` naming the text.
+    Every vector is 1-D and of one length, or the constructor raises
+    :class:`ShapeMismatchError`. Lookups match the raw text exactly; a
+    miss raises :class:`LookupMissError` naming the text.
     """
 
     def __init__(self, table: dict[str, np.ndarray]):
         if not table:
             raise ParseError("empty embedding table")
+        shapes = sorted({vec.shape for vec in table.values()})
+        if len(shapes) != 1 or len(shapes[0]) != 1:
+            raise ShapeMismatchError(
+                f"embeddings must be 1-D and of one length, got shapes {shapes}"
+            )
         self.table = table
 
     @classmethod
@@ -157,6 +180,8 @@ class PrecomputedTable:
                 if text in table:
                     raise ParseError(f"{path}:{lineno}: duplicate key {text!r}")
                 table[text] = vec
+        if not table:
+            raise ParseError(f"{path}: empty embedding table")
         return cls(table)
 
     def embed(self, text: str) -> np.ndarray:
@@ -164,6 +189,11 @@ class PrecomputedTable:
         if vec is None:
             raise LookupMissError(f"no precomputed embedding for text {text!r}")
         return vec
+
+    def support(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        vec = self.embed(text)
+        cols = np.flatnonzero(vec)
+        return cols, vec[cols]
 
 
 Embedder = TrigramEmbedder | PrecomputedTable
@@ -245,7 +275,7 @@ class ClassVocab:
     the verbatim short-circuit and the trigram embedder apply, and hold no
     line break (``\\n`` or ``\\r``), as the vocabulary file is one name per
     line. Class-name embeddings are not stored: :meth:`class_matrix`
-    derives them from the backend that embeds the responses.
+    derives them from the backend that matches the responses.
     """
 
     names: list[str]
@@ -362,9 +392,10 @@ def assign_pseudo_label(record: TeacherRecord, vocab: ClassVocab, backend: Embed
     Text equal to a class name after normalization maps straight to that
     class; otherwise the cosine argmax decides, with similarity ties
     resolved to the lowest class index. The cosines are taken over the
-    query's nonzero entries only, which gives the same similarities as a
-    plain ``sts(query, class_matrix)`` call up to rounding, bit for bit
-    for a query with no zero entry. Un-embeddable text (empty
+    text's support (``backend.support``, the nonzero entries of its
+    embedding) only, which gives the same similarities as a plain
+    ``sts(embed_text(text, backend), class_matrix)`` call up to rounding,
+    bit for bit for a text with no zero entry. Un-embeddable text (empty
     under the trigram backend, missing from a precomputed table) raises
     :class:`UnlabeledSampleError`; a non-finite embedding raises
     :class:`UndefinedSimilarityError`.
@@ -373,22 +404,18 @@ def assign_pseudo_label(record: TeacherRecord, vocab: ClassVocab, backend: Embed
     if verbatim is not None:
         return verbatim
     try:
-        query = embed_text(record.raw_text, backend)
+        cols, vals = backend.support(record.raw_text)
     except LookupMissError as exc:
         raise UnlabeledSampleError(str(exc)) from exc
-    support = np.flatnonzero(query)
-    if not support.size:
+    if not cols.size:
         raise UnlabeledSampleError(
             f"text {record.raw_text!r} has no embeddable content"
         )
     side = vocab._embedded(backend)[2]
-    # A query whose shape differs from the class side's keeps the full
-    # call, so sts reports the mismatch. ``take`` keeps the rows
-    # C-ordered (``rows[:, support]`` is Fortran-ordered), so a query with
-    # no zero entry gets the dense call's bytes.
-    if query.shape == side.rows.shape[1:]:
-        query, side = query[support], side._replace(rows=side.rows.take(support, axis=1))
-    return int(np.argmax(sts(query, side)))
+    # ``take`` keeps the rows C-ordered (``rows[:, cols]`` is
+    # Fortran-ordered), so a text with no zero entry gets the dense call's
+    # bytes.
+    return int(np.argmax(sts(vals, side._replace(rows=side.rows.take(cols, axis=1)))))
 
 
 @dataclass

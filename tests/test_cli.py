@@ -1219,6 +1219,11 @@ ONE_TEACHER_COLUMN = b"sample_id,teacher_0\na,0\n"
         pytest.param("label-precomputed",
                      {"e.tsv": FUZZ_TABLE.replace(b"car\t1 0 0", b"car\t0 0 0")},
                      "class name 'car' embeds to the zero vector", id="table-zero-class-vector"),
+        # An empty table file's message used to name no file.
+        pytest.param("label-precomputed", {"e.tsv": b""}, "e.tsv: empty embedding table",
+                     id="table-file-empty"),
+        pytest.param("label-precomputed", {"e.tsv": b"\n\n"}, "e.tsv: empty embedding table",
+                     id="table-file-blank-lines"),
         pytest.param("train",
                      {"model.bin": FUZZ_CHECKPOINT,  # 2 classes, and the vocabulary has 3
                       "config.json": FUZZ_TRAIN_CONFIG + b', "warm_start_checkpoint": "model.bin"'

@@ -254,15 +254,21 @@ class TestClassVocab:
 
 
 class CountingBackend:
-    """Trigram embeddings that count the texts they embed."""
+    """Trigram embeddings that count the texts they embed and, apart, the
+    texts whose support they give."""
 
     def __init__(self):
         self.inner = rd.TrigramEmbedder()
         self.calls: dict[str, int] = {}
+        self.support_calls: dict[str, int] = {}
 
     def embed(self, text):
         self.calls[text] = self.calls.get(text, 0) + 1
         return self.inner.embed(text)
+
+    def support(self, text):
+        self.support_calls[text] = self.support_calls.get(text, 0) + 1
+        return self.inner.support(text)
 
 
 class TestClassMatrixFollowsBackend:
@@ -275,7 +281,9 @@ class TestClassMatrixFollowsBackend:
         for text in answers:
             rd.assign_pseudo_label(rd.TeacherRecord("s", 0, text), vocab, backend)
         assert all(backend.calls[name] == 1 for name in names)
-        assert sum(backend.calls.values()) == len(names) + len(answers)
+        # Answers reach the backend through support only, once each.
+        assert sum(backend.calls.values()) == len(names)
+        assert backend.support_calls == dict.fromkeys(answers, 1)
 
     def test_second_backend_gets_its_own_matrix(self):
         # Same vocab, two tables that place "q" next to opposite classes.
@@ -722,6 +730,26 @@ def test_embed_equals_per_trigram_counts(text):
     assert SHARED_EMBEDDER.embed(text).tobytes() == expected
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(max_size=3),
+        st.text(alphabet="aé ß-.!İς\u00c5\u4e2d\U0001f600", max_size=12),
+        st.text(max_size=80),
+    ),
+    st.lists(st.one_of(st.just(0.0), st.floats()), min_size=1, max_size=6),
+)
+def test_support_is_the_nonzero_part_of_embed(text, values):
+    # embed itself is pinned to the per-trigram oracle above.
+    table = rd.PrecomputedTable({text: np.array(values)})
+    for backend in (rd.TrigramEmbedder(), SHARED_EMBEDDER, table):
+        vec = backend.embed(text)
+        cols = np.flatnonzero(vec)
+        support = backend.support(text)
+        assert [a.dtype for a in support] == [np.intp, np.float64]
+        assert [a.tobytes() for a in support] == [cols.tobytes(), vec[cols].tobytes()]
+
+
 class TestBucketHash:
     """The hash the embedder's memo caches, pinned apart from the
     per_trigram_embed oracle (which calls _bucket itself)."""
@@ -791,6 +819,44 @@ def test_support_restriction_matches_dense_sts_on_65_names(object_vocab, monkeyp
     np.testing.assert_array_max_ulp(np.array([c[2] for c in calls]), np.array(dense), maxulp=4)
 
 
+def answers_65(vocab) -> list[str]:
+    """The 65 x 6 x 6 = 2 340 fixed answers over the 65 freetext65 names."""
+    return [free_text_answer(template, modifier, name) for name in vocab.names
+            for template in TEMPLATES for modifier in MODIFIERS]
+
+
+def test_sts_receives_each_answers_support_on_65_names(object_vocab, monkeypatch):
+    backend = rd.TrigramEmbedder()
+    side = object_vocab._embedded(backend)[2]
+    calls = record_sts(monkeypatch)
+    texts = answers_65(object_vocab)
+    for text in texts:
+        rd.assign_pseudo_label(rd.TeacherRecord("s", 0, text), object_vocab, backend)
+    assert len(calls) == len(texts)
+    for text, (query, restricted, _) in zip(texts, calls):
+        vec = backend.embed(text)
+        support = np.flatnonzero(vec)
+        assert query.tobytes() == vec[support].tobytes()
+        rows = side.rows.take(support, axis=1)
+        assert restricted.rows.shape == rows.shape
+        assert restricted.rows.tobytes() == rows.tobytes()
+        assert restricted.sq_norms is side.sq_norms
+
+
+def test_warmed_and_fresh_embedders_label_alike(object_vocab, monkeypatch):
+    records = [rd.TeacherRecord(f"s{i}", t, text)
+               for i, text in enumerate(answers_65(object_vocab)) for t in (0, 1)]
+    warmed = rd.TrigramEmbedder()
+    for record in records:
+        warmed.embed(record.raw_text)
+    labels = [rd.label_records(records, object_vocab, backend)[0].labels.tobytes()
+              for backend in (rd.TrigramEmbedder(), warmed)]
+    # And one whose memo is emptied many times within the batch.
+    monkeypatch.setattr(text_match, "_MEMO_CAP", 64)
+    labels.append(rd.label_records(records, object_vocab, rd.TrigramEmbedder())[0].labels.tobytes())
+    assert labels[0] == labels[1] == labels[2]
+
+
 class TestSupportRestrictedCall:
     """What assign_pseudo_label hands to sts, seen through a recording wrapper."""
 
@@ -818,13 +884,11 @@ class TestSupportRestrictedCall:
         assert np.array_equal(b.sq_norms, vocab._embedded(backend)[2].sq_norms)
 
     def test_ragged_query_still_reports_the_mismatch(self):
-        table = rd.PrecomputedTable(
-            {"car": np.array([1.0, 0.0, 0.0]), "bus": np.array([0.0, 1.0, 0.0]),
-             "short": np.array([0.0, 1.0])}
-        )
+        # The table refuses the short vector before any query is made.
         with pytest.raises(ShapeMismatchError):
-            rd.assign_pseudo_label(
-                rd.TeacherRecord("s", 0, "short"), rd.ClassVocab(["car", "bus"]), table
+            rd.PrecomputedTable(
+                {"car": np.array([1.0, 0.0, 0.0]), "bus": np.array([0.0, 1.0, 0.0]),
+                 "short": np.array([0.0, 1.0])}
             )
 
 
@@ -855,9 +919,24 @@ ARGUMENT_CHECKS = [
     pytest.param(lambda tmp: rd.PrecomputedTable({}), ParseError, "empty embedding table",
                  id="table-empty"),
     pytest.param(lambda tmp: rd.PrecomputedTable.load(write(tmp / "e.tsv", "\n\n")),
-                 ParseError, "empty embedding table", id="table-file-blank"),
+                 ParseError, "{tmp}/e.tsv: empty embedding table", id="table-file-blank"),
     pytest.param(lambda tmp: rd.PrecomputedTable.load(write(tmp / "e.tsv", "car\t \n")),
                  ParseError, "{tmp}/e.tsv:1: no embedding values", id="table-line-without-values"),
+    # class_matrix on these tables raised numpy's ValueError ("inhomogeneous
+    # shape" for the ragged one, a matmul mismatch for the 2-D one).
+    pytest.param(lambda tmp: rd.ClassVocab(["car", "bus"]).class_matrix(rd.PrecomputedTable(
+                     {"car": np.array([1.0, 0, 0]), "bus": np.array([0.0, 1.0])})),
+                 ShapeMismatchError,
+                 "embeddings must be 1-D and of one length, got shapes [(2,), (3,)]",
+                 id="table-ragged"),
+    pytest.param(lambda tmp: rd.ClassVocab(["car", "bus"]).class_matrix(rd.PrecomputedTable(
+                     {"car": np.array([[1.0, 0.0]]), "bus": np.array([[0.0, 1.0]])})),
+                 ShapeMismatchError,
+                 "embeddings must be 1-D and of one length, got shapes [(1, 2)]",
+                 id="table-2-d"),
+    pytest.param(lambda tmp: rd.PrecomputedTable({"car": np.array([1.0])}).support("Audi"),
+                 LookupMissError, "no precomputed embedding for text 'Audi'",
+                 id="table-support-miss"),
     pytest.param(
         lambda tmp: rd.label_records(TWO_RECORDS, rd.ClassVocab(["car", "bus"]),
                                      rd.TrigramEmbedder(), on_unlabeled="skip"),
