@@ -149,18 +149,33 @@ def mode_label(row, rng: np.random.Generator) -> int:
     return int(top[rng.integers(top.size)])
 
 
-def mode_labels(matrix: PseudoLabelMatrix, seed: int, purpose: int = MODE_TIE) -> np.ndarray:
+def mode_labels(
+    matrix: PseudoLabelMatrix, seed: int, purpose: int = MODE_TIE, rows=None
+) -> np.ndarray:
     """Per-row mode labels with the tie rng split per row.
 
     A tied row ``i`` goes to :func:`mode_label` with
     ``derive_rng(seed, purpose, i)``, so the result does not depend on
-    evaluation order or on which rows are consulted.
+    evaluation order or on which rows are consulted. ``rows``, a 1-D
+    array of row indices in 0..N-1, limits the result to those rows (in
+    that order): ``mode_labels(m, s, p, rows=r)`` equals
+    ``mode_labels(m, s, p)[r]``. None means every row.
     """
-    counts = _class_counts(matrix.labels, matrix.n_classes)
+    labels = matrix.labels
+    if rows is None:
+        rows = np.arange(matrix.n)
+    else:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise ConfigError("rows must be a 1-D array of row indices")
+        if rows.size and (rows.min() < 0 or rows.max() >= matrix.n):
+            raise ConfigError(f"row indices must lie in 0..{matrix.n - 1}")
+        labels = labels[rows.astype(np.intp)]
+    counts = _class_counts(labels, matrix.n_classes)
     out = counts.argmax(axis=1)  # the mode of every untied row
     tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
-    for i in np.flatnonzero(tied):
-        out[i] = mode_label(matrix.labels[i], rng=derive_rng(seed, purpose, int(i)))
+    for j in np.flatnonzero(tied):
+        out[j] = mode_label(labels[j], rng=derive_rng(seed, purpose, int(rows[j])))
     return out
 
 

@@ -43,7 +43,9 @@ from .student import (
     AugmentPolicy,
     StudentModel,
     augment,
+    backprop,
     confidence,
+    forward_pass,
     init_optimizer,
     init_student,
     loss_and_grads,
@@ -270,7 +272,9 @@ def run_smke(
     pool = np.flatnonzero(part.tags != TAG_UNRELIABLE)
     if pool.size == 0:
         raise StageError("no samples with any teacher agreement; SMKE cannot run")
-    teacher_mode = mode_labels(pl, seed)
+    # Batches draw only from the pool; -1 elsewhere is a label no loss accepts.
+    teacher_mode = np.full(pl.n, -1, dtype=np.int64)
+    teacher_mode[pool] = mode_labels(pl, seed, rows=pool)
     sources = {"student": 0, "teacher": 0}
 
     def batch_loss(iteration, batch):
@@ -297,7 +301,8 @@ def run_mmr(
     Only the batch rows are perturbed, each keyed by (view, iteration,
     sample index), so a sample's noise is independent of batch
     membership. Confidence and the refined label come from the weak
-    view; the combined loss is sup + lambda_cons * cons.
+    view, whose one forward pass also feeds the supervised gradient; the
+    combined loss is sup + lambda_cons * cons.
     ``label_sources`` counts refined labels that kept the confident
     argmax ("confident") and those restricted to the teachers' classes
     ("masked").
@@ -314,10 +319,11 @@ def run_mmr(
     def batch_loss(iteration, batch):
         x_weak = augment(X[batch], batch, policy, "weak", seed, iteration)
         x_strong = augment(X[batch], batch, policy, "strong", seed, iteration)
-        refined, confident = _refine_batch(predict_proba(model, x_weak), masks[batch], cfg.tau)
+        activations, probs = forward_pass(model, x_weak)
+        refined, confident = _refine_batch(probs, masks[batch], cfg.tau)
         sources["confident"] += int(confident.sum())
         sources["masked"] += int((~confident).sum())
-        loss_sup, grads_weak = loss_and_grads(model, x_weak, refined)
+        loss_sup, grads_weak = backprop(model, activations, probs, refined)
         loss_cons, grads_strong = loss_and_grads(model, x_strong, refined)
         return loss_sup + lam * loss_cons, grads_weak + lam * grads_strong
 

@@ -8,7 +8,8 @@ little-endian, and a file survives load -> save byte-identically.
 A model is its parameter vector: ``StudentModel(layer_dims, params)``
 takes one flat vector, layer by layer the (fan_in, fan_out) weights
 row-major, then the fan_out biases. The gradient of
-:func:`loss_and_grads`, both optimizer moments and the checkpoint
+:func:`backprop` (and of :func:`loss_and_grads`, its composition with
+:func:`forward_pass`), both optimizer moments and the checkpoint
 payload share that layout, and :func:`_layers` is the one place that
 spells it out. Checkpoints hold float32, so :func:`save_checkpoint`
 refuses parameters beyond ``F32_MAX``.
@@ -116,28 +117,47 @@ def _as_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
 
 
 def _hidden(model: StudentModel, X: np.ndarray) -> list[np.ndarray]:
-    """The batch input followed by each hidden layer's rectified output."""
+    """The batch input followed by each hidden layer's rectified output,
+    one array per layer, rectified in place."""
     activations = [X]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+        z = activations[-1] @ w
+        z += b
+        activations.append(np.maximum(z, 0.0, out=z))
     return activations
+
+
+def _logits(model: StudentModel, a: np.ndarray) -> np.ndarray:
+    """The output layer on the last hidden activation ``a``."""
+    z = a @ model.weights[-1]
+    z += model.biases[-1]
+    return z
 
 
 def forward(model: StudentModel, X: np.ndarray) -> np.ndarray:
     """Batch logits, shape (batch, C)."""
-    a = _hidden(model, _as_batch(model, X))[-1]
-    return a @ model.weights[-1] + model.biases[-1]
+    return _logits(model, _hidden(model, _as_batch(model, X))[-1])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax with max subtraction for stability; ``logits`` is
+    left as it was."""
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def forward_pass(model: StudentModel, X: np.ndarray):
+    """The one forward pass: (activations, probs), where ``activations``
+    is the batch input followed by each hidden layer's output and
+    ``probs`` the (batch, C) softmax. :func:`backprop` takes both."""
+    activations = _hidden(model, _as_batch(model, X))
+    return activations, softmax(_logits(model, activations[-1]))
 
 
 def predict_proba(model: StudentModel, X: np.ndarray) -> np.ndarray:
-    return softmax(forward(model, X))
+    return forward_pass(model, X)[1]
 
 
 def confidence(model: StudentModel, x: np.ndarray):
@@ -146,7 +166,8 @@ def confidence(model: StudentModel, x: np.ndarray):
     Accepts a single feature vector (returns scalars) or a batch
     (returns arrays). The max probability is always >= 1/C. A batch is
     scored ``_SCORE_ROWS`` rows at a time, so scoring a whole dataset
-    holds one block's activations, not an (N, h) array per layer.
+    holds one block's activations, one (rows, h) array per hidden layer,
+    not an (N, h) array per layer.
     """
     single = np.ndim(x) == 1
     X = _as_batch(model, x)
@@ -175,32 +196,41 @@ def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
-def loss_and_grads(model: StudentModel, X: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its analytic gradient, one vector laid out
-    like ``model.params``.
+def backprop(model: StudentModel, activations: list[np.ndarray], probs: np.ndarray, labels):
+    """Mean cross-entropy of ``probs`` and its analytic gradient, one
+    vector laid out like ``model.params``, from a :func:`forward_pass`
+    result; no argument is modified.
 
     The output-logit gradient is (softmax - one_hot) / batch; hidden
     deltas backpropagate through the rectifier masks.
     """
-    X = _as_batch(model, X)
     labels = np.asarray(labels, dtype=np.int64)
-    activations = _hidden(model, X)
-    probs = softmax(activations[-1] @ model.weights[-1] + model.biases[-1])
     loss = cross_entropy(probs, labels)
-
-    batch = X.shape[0]
+    batch = probs.shape[0]
+    shapes = [np.shape(a) for a in activations]
+    if shapes != [(batch, d) for d in model.layer_dims[:-1]]:
+        raise ShapeMismatchError(
+            f"activation shapes {shapes} do not fit dims {model.layer_dims} at batch {batch}"
+        )
     delta = probs.copy()
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
     grads = np.empty_like(model.params)
     grad_w, grad_b = _layers(model.layer_dims, grads)
     for layer in reversed(range(len(grad_w))):
-        grad_w[layer][...] = activations[layer].T @ delta
-        grad_b[layer][...] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=grad_w[layer])
+        delta.sum(axis=0, out=grad_b[layer])
         if layer > 0:
             # A rectified output is positive exactly where its input was.
-            delta = (delta @ model.weights[layer].T) * (activations[layer] > 0)
+            delta = delta @ model.weights[layer].T
+            delta *= activations[layer] > 0
     return loss, grads
+
+
+def loss_and_grads(model: StudentModel, X: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy and its gradient on the batch ``X``:
+    :func:`backprop` of :func:`forward_pass`."""
+    return backprop(model, *forward_pass(model, X), labels)
 
 
 def backward(model: StudentModel, X: np.ndarray, labels: np.ndarray):

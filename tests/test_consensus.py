@@ -262,6 +262,20 @@ class TestMatrixCallsMatchRowOracles:
         got = rd.mode_labels(matrix, seed, purpose=purpose)
         assert got.tolist() == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(label_matrices(), st.integers(0, 2**32 - 1), st.data())
+    def test_mode_labels_on_rows(self, matrix, seed, data):
+        # Empty, unsorted and repeated selections alike: a row's mode,
+        # tie-break included, is keyed by its index in the matrix.
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, matrix.n - 1), max_size=2 * matrix.n)),
+            dtype=np.int64,
+        )
+        full = rd.mode_labels(matrix, seed)
+        got = rd.mode_labels(matrix, seed, rows=rows)
+        assert got.dtype == full.dtype
+        assert got.tobytes() == full[rows].tobytes()
+
 
 TWO_CLASS_MATRIX = rd.PseudoLabelMatrix(["a", "b", "c"], np.array([[0, 0], [0, 1], [1, 1]]), 2)
 
@@ -276,6 +290,22 @@ ARGUMENT_CHECKS = [
     pytest.param(
         lambda tmp: rd.PseudoLabelMatrix(["a"], np.zeros((1, 2)), 1),
         ConfigError, "need at least 2 classes", id="matrix-one-class",
+    ),
+    pytest.param(
+        lambda tmp: rd.mode_labels(TWO_CLASS_MATRIX, 1, rows=np.array([0, 3])),
+        ConfigError, "row indices must lie in 0..2", id="mode-labels-row-past-end",
+    ),
+    pytest.param(
+        lambda tmp: rd.mode_labels(TWO_CLASS_MATRIX, 1, rows=np.array([-1])),
+        ConfigError, "row indices must lie in 0..2", id="mode-labels-row-negative",
+    ),
+    pytest.param(
+        lambda tmp: rd.mode_labels(TWO_CLASS_MATRIX, 1, rows=np.array([True, False, True])),
+        ConfigError, "rows must be a 1-D array of row indices", id="mode-labels-row-mask",
+    ),
+    pytest.param(
+        lambda tmp: rd.mode_labels(TWO_CLASS_MATRIX, 1, rows=np.zeros((1, 2), np.int64)),
+        ConfigError, "rows must be a 1-D array of row indices", id="mode-labels-rows-2-d",
     ),
     pytest.param(
         lambda tmp: rd.partition(TWO_CLASS_MATRIX).indices("X"),

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import relidistill as rd
-from relidistill import curriculum
+from relidistill import consensus, curriculum
 from relidistill.cli import parse_stage_configs
-from relidistill.consensus import TAG_LESS_RELIABLE, TAG_RELIABLE, partition
+from relidistill.consensus import TAG_LESS_RELIABLE, TAG_RELIABLE, multi_hot_masks, partition
 from relidistill.curriculum import (
     STAGE_DEFAULTS,
     _confidence_gate,
@@ -21,7 +21,13 @@ from relidistill.errors import ConfigError, DataError, StageError
 from relidistill.student import init_optimizer, loss_and_grads, optimizer_step, predict_proba
 
 from conftest import MODIFIERS, OBJECT_VOCAB_65, TEMPLATES, free_text_answer
-from test_acceptance import ONE_POINT, STAGE_CONFIGS
+from test_acceptance import (
+    FIXTURE_SEED,
+    FIXTURE_SPREAD,
+    ONE_POINT,
+    STAGE_CONFIGS,
+    TEACHER_ACCURACIES,
+)
 
 
 def model_with_confidence(p_max: float, predicted: int, n_classes: int = 3):
@@ -280,6 +286,40 @@ class TestRunSmke:
         assert set(trained) == allowed
         assert report.touched_sample_count == len(allowed)
 
+    @pytest.mark.parametrize("setup", ["acceptance", "four-teachers"])
+    def test_draws_tie_breaks_only_for_pool_rows(self, monkeypatch, setup):
+        # With 3 teachers only an all-distinct (UR) row ties, so the
+        # acceptance fixture's SMKE draws no tie-break; with 4, a 2-2 LR
+        # row ties too.
+        if setup == "acceptance":
+            ds = rd.make_blobs(5000, 10, 16, FIXTURE_SPREAD, seed=FIXTURE_SEED)
+            specs = [
+                rd.SimTeacherSpec(a, "uniform-error", 0.0, seed=FIXTURE_SEED)
+                for a in TEACHER_ACCURACIES
+            ]
+            pl = rd.simulate_teachers(ds, specs, n_classes=10)
+        else:
+            ds = rd.make_blobs(200, 4, 5, 0.5, seed=3)
+            specs = [rd.SimTeacherSpec(0.5, "uniform-error", 0.0, seed=t) for t in range(4)]
+            pl = rd.simulate_teachers(ds, specs, n_classes=4)
+        part = partition(pl)
+        pool = np.flatnonzero(part.tags != consensus.TAG_UNRELIABLE)
+        counts = consensus._class_counts(pl.labels, pl.n_classes)
+        tied = np.flatnonzero((counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1)
+        assert np.setdiff1d(tied, pool).size > 0  # UR rows tie, and SMKE skips them
+        drawn = []
+        derive_rng = consensus.derive_rng
+
+        def counting(seed, *keys):
+            drawn.append(keys[-1])  # the row index
+            return derive_rng(seed, *keys)
+
+        monkeypatch.setattr(consensus, "derive_rng", counting)
+        cfg = rd.StageConfig("SMKE", 1e-3, 64, 2, tau=0.7)
+        run_smke(rd.init_student([ds.dim, 8, pl.n_classes], seed=2), ds.features, part, pl, cfg, 2)
+        assert drawn == np.intersect1d(tied, pool).tolist()
+        assert (len(drawn) == 0) == (setup == "acceptance")
+
     def test_tau_endpoints_branch_counters(self, small_teacher_setup):
         ds, pl = small_teacher_setup
         part = partition(pl)
@@ -297,7 +337,42 @@ class TestRunSmke:
         assert report1.label_sources["teacher"] > 0
 
 
+def three_pass_mmr(model, X, pl, cfg, policy, seed):
+    """MMR with three forward passes per batch: the weak view goes forward
+    once for the refined labels and again inside its gradient. Reusing
+    the first pass must not change a byte."""
+    masks = multi_hot_masks(pl)
+    lam = float(cfg.lambda_cons)
+    sources = {"confident": 0, "masked": 0}
+
+    def batch_loss(iteration, batch):
+        x_weak = rd.augment(X[batch], batch, policy, "weak", seed, iteration)
+        x_strong = rd.augment(X[batch], batch, policy, "strong", seed, iteration)
+        refined, confident = _refine_batch(predict_proba(model, x_weak), masks[batch], cfg.tau)
+        sources["confident"] += int(confident.sum())
+        sources["masked"] += int((~confident).sum())
+        loss_sup, grads_weak = loss_and_grads(model, x_weak, refined)
+        loss_cons, grads_strong = loss_and_grads(model, x_strong, refined)
+        return loss_sup + lam * loss_cons, grads_weak + lam * grads_strong
+
+    return curriculum._train_stage(model, cfg, np.arange(pl.n), seed, batch_loss, sources)
+
+
 class TestRunMmr:
+    def test_matches_three_pass_reference(self, small_teacher_setup, monkeypatch):
+        monkeypatch.setattr(curriculum, "LOSS_SAMPLE_EVERY", 3)
+        ds, pl = small_teacher_setup
+        cfg = rd.StageConfig("MMR", 1e-2, 32, 40, tau=0.6, lambda_cons=0.5)
+        policy = rd.AugmentPolicy()
+        model = rd.init_student([ds.dim, 16, 4], seed=15)
+        reference = model.copy()
+        report = run_mmr(model, ds.features, partition(pl), pl, cfg, policy, seed=15)
+        expected = three_pass_mmr(reference, ds.features, pl, cfg, policy, seed=15)
+        assert model.params.tobytes() == reference.params.tobytes()
+        assert len(report.loss_curve) == 14
+        assert report.to_json_dict() == expected.to_json_dict()  # curve, sources, final loss
+        assert report.label_sources["confident"] > 0 and report.label_sources["masked"] > 0
+
     def test_lambda_zero_ignores_strong_view(self, small_teacher_setup, tmp_path):
         ds, pl = small_teacher_setup
         part = partition(pl)

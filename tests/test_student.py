@@ -145,6 +145,63 @@ class TestBackward:
             assert np.max(np.abs(ab - bb)) < 1e-9
 
 
+def reference_loss_and_grads(model, X, labels):
+    """The loss and gradient in their plain form, one fresh array per
+    operation; the in-place passes must give the same bytes."""
+    activations = [np.asarray(X, dtype=np.float64)]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    logits = activations[-1] @ model.weights[-1] + model.biases[-1]
+    z = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    loss = rd.cross_entropy(probs, labels)
+    delta = probs.copy()
+    delta[np.arange(len(X)), labels] -= 1.0
+    delta /= len(X)
+    grads = np.empty_like(model.params)
+    grad_w, grad_b = student._layers(model.layer_dims, grads)
+    for layer in reversed(range(len(grad_w))):
+        grad_w[layer][...] = activations[layer].T @ delta
+        grad_b[layer][...] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (activations[layer] > 0)
+    return probs, loss, grads
+
+
+class TestForwardBackwardSplit:
+    @pytest.mark.parametrize("batch", [1, 9])
+    @pytest.mark.parametrize(
+        "dims", [[5, 3], [5, 8, 3], [5, 8, 6, 3]], ids=["linear", "one-hidden", "two-hidden"]
+    )
+    def test_composes_bytewise(self, dims, batch):
+        model = rd.init_student(dims, seed=4)
+        rng = np.random.default_rng(batch)
+        X = rng.normal(size=(batch, dims[0]))
+        labels = rng.integers(0, dims[-1], batch)
+        X_before = X.copy()
+        activations, probs = student.forward_pass(model, X)
+        assert [a.shape for a in activations] == [(batch, d) for d in dims[:-1]]
+        passed = [a.copy() for a in activations] + [probs.copy()]
+        loss, grads = student.backprop(model, activations, probs, labels)
+        assert all(np.array_equal(a, b) for a, b in zip(activations + [probs], passed))
+
+        composed = loss_and_grads(model, X, labels)
+        ref_probs, ref_loss, ref_grads = reference_loss_and_grads(model, X, labels)
+        for got_loss, got_grads in ((loss, grads), composed):
+            assert got_loss == ref_loss
+            assert got_grads.tobytes() == ref_grads.tobytes()
+        assert rd.predict_proba(model, X).tobytes() == probs.tobytes() == ref_probs.tobytes()
+        assert np.array_equal(X, X_before)
+
+    def test_softmax_leaves_its_logits(self):
+        logits = np.random.default_rng(3).normal(size=(6, 4)) * 30.0
+        before = logits.copy()
+        probs = rd.softmax(logits)
+        assert np.array_equal(logits, before)
+        z = before - before.max(axis=1, keepdims=True)
+        assert probs.tobytes() == (np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)).tobytes()
+
+
 class TestOptimizer:
     def test_zero_gradient_no_change(self):
         model = rd.init_student([3, 2], seed=7)
@@ -329,6 +386,8 @@ class TestConfidence:
             return peak - retained
 
         assert transient(4096) < 1.5 * transient(2048)
+        # Each hidden layer is one (rows, h) array, rectified in place.
+        assert transient(4096) < 2 * 64 * 256 * 8
 
 
 class TestCheckpoints:
@@ -516,6 +575,10 @@ ARGUMENT_CHECKS = [
                  "probabilities (B, C) and labels (B,) expected", id="cross-entropy-labels"),
     pytest.param(lambda: rd.cross_entropy(np.zeros((0, 3)), []), ShapeMismatchError,
                  "empty batch", id="cross-entropy-empty"),
+    pytest.param(lambda: student.backprop(rd.init_student([3, 4, 2], seed=7), [np.zeros((2, 3))],
+                                          np.full((2, 2), 0.5), [0, 1]), ShapeMismatchError,
+                 "activation shapes [(2, 3)] do not fit dims [3, 4, 2] at batch 2",
+                 id="backprop-activations"),
     pytest.param(lambda: rd.init_optimizer(rd.init_student([3, 2], seed=7), 0.0), ConfigError,
                  "learning rate must be positive", id="optimizer-learning-rate-zero"),
     pytest.param(lambda: rd.init_optimizer(rd.init_student([3, 2], seed=7), -1e-3),
