@@ -15,7 +15,6 @@ from .consensus import (
     multi_hot_mask,
     multi_hot_masks,
     partition,
-    reliability,
 )
 from .curriculum import (
     CurriculumRun,
@@ -50,7 +49,6 @@ from .student import (
     backward,
     confidence,
     cross_entropy,
-    forward,
     init_optimizer,
     init_student,
     load_checkpoint,
@@ -70,6 +68,7 @@ from .text_match import (
     normalize_text,
     read_teacher_records,
     sts,
+    write_teacher_records,
 )
 
 __version__ = "0.1.0"

@@ -167,15 +167,12 @@ def cmd_simulate(args) -> int:
 
     data.save_features_csv(ds, out_dir / "features.csv")
     data.save_class_vocab(vocab, out_dir / "vocab.txt")
-    with fileio.atomic_open(out_dir / "teachers.jsonl", "w", encoding="utf-8") as fh:
-        for i, sid in enumerate(matrix.sample_ids):
-            for t in range(matrix.m):
-                record = {
-                    "sample_id": sid,
-                    "teacher": t,
-                    "text": vocab.names[int(matrix.labels[i, t])],
-                }
-                fh.write(json.dumps(record) + "\n")
+    records = (
+        text_match.TeacherRecord(sid, t, vocab.names[label])
+        for sid, row in zip(matrix.sample_ids, matrix.labels.tolist())
+        for t, label in enumerate(row)
+    )
+    text_match.write_teacher_records(records, out_dir / "teachers.jsonl")
     print(
         f"simulated {ds.n} samples x {ds.dim} dims, {n_classes} classes, "
         f"{len(specs)} teachers -> {out_dir}"

@@ -115,14 +115,10 @@ def agreement_count(labels):
     return int(counts[0]) if single else counts
 
 
-def reliability(row) -> float:
-    """Agreeing ordered pairs over all M(M-1) ordered pairs, in [0, 1]."""
-    row = np.ravel(row)
-    return agreement_count(row) / (row.size * (row.size - 1))
-
-
 def partition(matrix: PseudoLabelMatrix) -> ReliabilityPartition:
-    """Tag every sample R (unanimous), UR (all distinct), or LR (between).
+    """Score and tag every sample: its score, the reliability, is agreeing
+    ordered pairs over all M(M-1), in [0, 1]; its tag is R (unanimous), UR
+    (all distinct), or LR (between).
 
     Tags come from the integer agreement count compared against 0 and
     M(M-1), so a sample can never be misfiled by float rounding.

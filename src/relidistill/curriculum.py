@@ -88,8 +88,8 @@ class StageConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"{self.stage}: learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"{self.stage}: learning rate must be positive and finite")
         if self.batch_size < 1 or self.max_iter < 1:
             raise ConfigError(f"{self.stage}: batch size and max iter must be >= 1")
         if self.stage == STAGE_RKT:
@@ -103,8 +103,8 @@ class StageConfig:
         if self.stage == STAGE_MMR:
             if self.lambda_cons is None:
                 raise ConfigError("MMR: lambda_cons is required")
-            if self.lambda_cons < 0:
-                raise ConfigError("MMR: lambda_cons must be >= 0")
+            if not 0 <= self.lambda_cons < math.inf:
+                raise ConfigError("MMR: lambda_cons must be finite and >= 0")
         elif self.lambda_cons is not None:
             raise ConfigError("SMKE takes no lambda_cons")
 
@@ -290,7 +290,6 @@ def run_smke(
 def run_mmr(
     model: StudentModel,
     X: np.ndarray,
-    part: ReliabilityPartition,
     pl: PseudoLabelMatrix,
     cfg: StageConfig,
     policy: AugmentPolicy,
@@ -392,7 +391,7 @@ def run_curriculum(
         elif cfg.stage == STAGE_SMKE:
             report = run_smke(model, X, part, pl, cfg, seed)
         else:
-            report = run_mmr(model, X, part, pl, cfg, policy, seed)
+            report = run_mmr(model, X, pl, cfg, policy, seed)
         run.stage_wall_time_s[cfg.stage] = time.perf_counter() - stage_started
         if truths is not None:
             # Clean (unaugmented) forward pass on the aligned set.

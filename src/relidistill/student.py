@@ -127,18 +127,6 @@ def _hidden(model: StudentModel, X: np.ndarray) -> list[np.ndarray]:
     return activations
 
 
-def _logits(model: StudentModel, a: np.ndarray) -> np.ndarray:
-    """The output layer on the last hidden activation ``a``."""
-    z = a @ model.weights[-1]
-    z += model.biases[-1]
-    return z
-
-
-def forward(model: StudentModel, X: np.ndarray) -> np.ndarray:
-    """Batch logits, shape (batch, C)."""
-    return _logits(model, _hidden(model, _as_batch(model, X))[-1])
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for stability; ``logits`` is
     left as it was."""
@@ -153,7 +141,9 @@ def forward_pass(model: StudentModel, X: np.ndarray):
     is the batch input followed by each hidden layer's output and
     ``probs`` the (batch, C) softmax. :func:`backprop` takes both."""
     activations = _hidden(model, _as_batch(model, X))
-    return activations, softmax(_logits(model, activations[-1]))
+    logits = activations[-1] @ model.weights[-1]
+    logits += model.biases[-1]
+    return activations, softmax(logits)
 
 
 def predict_proba(model: StudentModel, X: np.ndarray) -> np.ndarray:
@@ -249,8 +239,8 @@ class OptimizerState:
 
 
 def init_optimizer(model: StudentModel, learning_rate: float) -> OptimizerState:
-    if learning_rate <= 0:
-        raise ConfigError("learning rate must be positive")
+    if not 0 < learning_rate < math.inf:
+        raise ConfigError("learning rate must be positive and finite")
     return OptimizerState(learning_rate, np.zeros_like(model.params), np.zeros_like(model.params))
 
 
@@ -288,8 +278,8 @@ class AugmentPolicy:
     p_drop: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma_weak <= self.sigma_strong:
-            raise ConfigError("need 0 <= sigma_weak <= sigma_strong")
+        if not 0.0 <= self.sigma_weak <= self.sigma_strong < math.inf:
+            raise ConfigError("need 0 <= sigma_weak <= sigma_strong < inf")
         if not 0.0 <= self.p_drop <= 1.0:
             raise ConfigError("p_drop must lie in [0, 1]")
 

@@ -47,7 +47,7 @@ from .errors import (
     UndefinedSimilarityError,
     UnlabeledSampleError,
 )
-from .fileio import open_utf8
+from .fileio import atomic_open, open_utf8
 
 TRIGRAM_DIM = 4096  # 2**12 buckets
 
@@ -145,7 +145,7 @@ class PrecomputedTable:
 
     def __init__(self, table: dict[str, np.ndarray]):
         if not table:
-            raise ParseError("empty embedding table")
+            raise DataError("empty embedding table")
         shapes = sorted({vec.shape for vec in table.values()})
         if len(shapes) != 1 or len(shapes[0]) != 1:
             raise ShapeMismatchError(
@@ -384,6 +384,16 @@ def read_teacher_records(path: str | Path) -> Iterator[TeacherRecord]:
             if type(teacher_id) is not int or teacher_id < 0:
                 raise ParseError(f"{path}:{lineno}: teacher must be a non-negative integer")
             yield TeacherRecord(sample_id, teacher_id, text)
+
+
+def write_teacher_records(records: Iterable[TeacherRecord], path: str | Path) -> None:
+    """Write ``records`` atomically as the JSON Lines that
+    :func:`read_teacher_records` reads: one ``{"sample_id", "teacher",
+    "text"}`` object per line, in that key order, by ``json.dumps`` defaults."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        for sample_id, teacher_id, text in records:
+            record = {"sample_id": sample_id, "teacher": teacher_id, "text": text}
+            fh.write(json.dumps(record) + "\n")
 
 
 def assign_pseudo_label(record: TeacherRecord, vocab: ClassVocab, backend: Embedder) -> int:

@@ -47,15 +47,16 @@ class TestReliability:
         [([4, 4, 4], 1.0), ([4, 4, 7], 1 / 3), ([1, 2, 3], 0.0), ([1, 1, 2, 2], 1 / 3)],
     )
     def test_known_values(self, row, expected):
-        assert rd.reliability(row) == pytest.approx(expected, abs=1e-12)
+        matrix = rd.PseudoLabelMatrix(["s0"], np.array([row]), max(row) + 1)
+        assert rd.partition(matrix).scores[0] == pytest.approx(expected, abs=1e-12)
 
     def test_requires_two_teachers(self):
         with pytest.raises(ConfigError):
-            rd.reliability([3])
+            rd.agreement_count([3])
 
     def test_rejects_unlabeled(self):
         with pytest.raises(InvalidRowError):
-            rd.reliability([1, -1, 2])
+            rd.agreement_count([1, -1, 2])
 
     @settings(max_examples=300, deadline=None)
     @given(label_rows)

@@ -366,7 +366,7 @@ class TestRunMmr:
         policy = rd.AugmentPolicy()
         model = rd.init_student([ds.dim, 16, 4], seed=15)
         reference = model.copy()
-        report = run_mmr(model, ds.features, partition(pl), pl, cfg, policy, seed=15)
+        report = run_mmr(model, ds.features, pl, cfg, policy, seed=15)
         expected = three_pass_mmr(reference, ds.features, pl, cfg, policy, seed=15)
         assert model.params.tobytes() == reference.params.tobytes()
         assert len(report.loss_curve) == 14
@@ -375,14 +375,13 @@ class TestRunMmr:
 
     def test_lambda_zero_ignores_strong_view(self, small_teacher_setup, tmp_path):
         ds, pl = small_teacher_setup
-        part = partition(pl)
         paths = []
         # Wildly different strong-view corruption must not matter at lambda=0.
         for i, p_drop in enumerate((0.0, 0.9)):
             model = rd.init_student([ds.dim, 16, 4], seed=8)
             cfg = rd.StageConfig("MMR", 1e-3, 32, 40, tau=0.95, lambda_cons=0.0)
             policy = rd.AugmentPolicy(0.05, 0.5, p_drop)
-            run_mmr(model, ds.features, part, pl, cfg, policy, seed=8)
+            run_mmr(model, ds.features, pl, cfg, policy, seed=8)
             path = tmp_path / f"mmr{i}.bin"
             rd.save_checkpoint(model, path)
             paths.append(path)
@@ -390,33 +389,30 @@ class TestRunMmr:
 
     def test_augmentation_off_combined_loss_scales(self, small_teacher_setup):
         ds, pl = small_teacher_setup
-        part = partition(pl)
         losses = {}
         for lam in (0.0, 0.5):
             model = rd.init_student([ds.dim, 16, 4], seed=12)
             cfg = rd.StageConfig("MMR", 1e-6, 32, 1, tau=0.95, lambda_cons=lam)
             policy = rd.AugmentPolicy(0.0, 0.0, 0.0)
-            report = run_mmr(model, ds.features, part, pl, cfg, policy, seed=12)
+            report = run_mmr(model, ds.features, pl, cfg, policy, seed=12)
             losses[lam] = report.final_loss
         # identical views: L = (1 + lambda) * L_sup
         assert abs(losses[0.5] - 1.5 * losses[0.0]) < 1e-9
 
     def test_touches_all_samples(self, small_teacher_setup):
         ds, pl = small_teacher_setup
-        part = partition(pl)
         model = rd.init_student([ds.dim, 16, 4], seed=13)
         cfg = rd.StageConfig("MMR", 1e-3, 64, 20, tau=0.95, lambda_cons=0.5)
-        report = run_mmr(model, ds.features, part, pl, cfg, rd.AugmentPolicy(), seed=13)
+        report = run_mmr(model, ds.features, pl, cfg, rd.AugmentPolicy(), seed=13)
         assert report.touched_sample_count == pl.n
 
     def test_label_sources_count_every_trained_row(self, small_teacher_setup):
         ds, pl = small_teacher_setup
-        part = partition(pl)
         cfg = rd.StageConfig("MMR", 1e-3, 64, 25, tau=0.5, lambda_cons=0.5)
         reports = []
         for _ in range(2):
             model = rd.init_student([ds.dim, 16, 4], seed=14)
-            reports.append(run_mmr(model, ds.features, part, pl, cfg, rd.AugmentPolicy(), seed=14))
+            reports.append(run_mmr(model, ds.features, pl, cfg, rd.AugmentPolicy(), seed=14))
         sources = reports[0].label_sources
         assert set(sources) == {"confident", "masked"}
         assert sources["confident"] + sources["masked"] == rows_trained(pl.n, cfg)
@@ -426,13 +422,12 @@ class TestRunMmr:
 
     def test_tau_endpoints_label_sources(self, small_teacher_setup):
         ds, pl = small_teacher_setup
-        part = partition(pl)
         model = rd.init_student([ds.dim, 16, 4], seed=6)
         p, _ = rd.confidence(model, ds.features)
         assert np.all(p < 1.0)
         for tau, never in ((0.0, "masked"), (1.0, "confident")):
             cfg = rd.StageConfig("MMR", 1e-4, 64, 30, tau=tau, lambda_cons=0.5)
-            report = run_mmr(model.copy(), ds.features, part, pl, cfg, rd.AugmentPolicy(), seed=6)
+            report = run_mmr(model.copy(), ds.features, pl, cfg, rd.AugmentPolicy(), seed=6)
             assert report.label_sources[never] == 0
             assert sum(report.label_sources.values()) == rows_trained(pl.n, cfg)
 
@@ -584,10 +579,12 @@ SMKE = rd.StageConfig("SMKE", 1e-3, 4, 2, tau=0.7)
 MMR = rd.StageConfig("MMR", 1e-3, 4, 2, tau=0.9, lambda_cons=0.5)
 
 
-def stage_args(labels):
-    """The (model, X, part, pl) a stage takes for ``labels`` over 2 classes."""
+def stage_args(labels, with_partition=True):
+    """The (model, X, part, pl) RKT and SMKE take for ``labels`` over 2
+    classes; MMR's (model, X, pl) without it."""
     pl = rd.PseudoLabelMatrix([f"s{i}" for i in range(len(labels))], np.array(labels), 2)
-    return rd.init_student([2, 2], 0), np.ones((pl.n, 2)), partition(pl), pl
+    model, X = rd.init_student([2, 2], 0), np.ones((pl.n, 2))
+    return (model, X, partition(pl), pl) if with_partition else (model, X, pl)
 
 
 # Checks no other test reaches: (call, the exception it raises, that
@@ -596,7 +593,11 @@ ARGUMENT_CHECKS = [
     pytest.param(lambda: rd.StageConfig("FOO", 1e-3, 4, 2), ConfigError,
                  "unknown stage 'FOO'", id="stage-unknown"),
     pytest.param(lambda: rd.StageConfig("RKT", 0.0, 4, 2), ConfigError,
-                 "RKT: learning rate must be positive", id="stage-learning-rate-zero"),
+                 "RKT: learning rate must be positive and finite", id="stage-learning-rate-zero"),
+    pytest.param(lambda: rd.StageConfig("RKT", math.nan, 4, 2), ConfigError,
+                 "RKT: learning rate must be positive and finite", id="stage-learning-rate-nan"),
+    pytest.param(lambda: rd.StageConfig("SMKE", math.inf, 4, 2, tau=0.7), ConfigError,
+                 "SMKE: learning rate must be positive and finite", id="stage-learning-rate-inf"),
     pytest.param(lambda: rd.StageConfig("SMKE", 1e-3, 0, 2, tau=0.7), ConfigError,
                  "SMKE: batch size and max iter must be >= 1", id="stage-batch-size-zero"),
     pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 0, tau=0.9, lambda_cons=0.5),
@@ -607,7 +608,12 @@ ARGUMENT_CHECKS = [
     pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 2, tau=-0.1, lambda_cons=0.5),
                  ConfigError, "MMR: tau must lie in [0, 1]", id="stage-tau-below-0"),
     pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 2, tau=0.9, lambda_cons=-1.0),
-                 ConfigError, "MMR: lambda_cons must be >= 0", id="stage-lambda-negative"),
+                 ConfigError, "MMR: lambda_cons must be finite and >= 0",
+                 id="stage-lambda-negative"),
+    pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 2, tau=0.9, lambda_cons=math.nan),
+                 ConfigError, "MMR: lambda_cons must be finite and >= 0", id="stage-lambda-nan"),
+    pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 2, tau=0.9, lambda_cons=math.inf),
+                 ConfigError, "MMR: lambda_cons must be finite and >= 0", id="stage-lambda-inf"),
     pytest.param(lambda: rd.StageConfig("SMKE", 1e-3, 4, 2, tau=0.7, lambda_cons=0.5),
                  ConfigError, "SMKE takes no lambda_cons", id="stage-smke-lambda"),
     pytest.param(lambda: rd.mmr_refine([0.5, 0.5], [0, 1], 3, 0.9), DataError,
@@ -616,12 +622,13 @@ ARGUMENT_CHECKS = [
                  "expected an RKT config, got SMKE", id="run-rkt-smke-config"),
     pytest.param(lambda: run_smke(*stage_args([[0, 0]]), MMR, 0), ConfigError,
                  "expected an SMKE config, got MMR", id="run-smke-mmr-config"),
-    pytest.param(lambda: run_mmr(*stage_args([[0, 0]]), RKT, rd.AugmentPolicy(), 0),
+    pytest.param(lambda: run_mmr(*stage_args([[0, 0]], False), RKT, rd.AugmentPolicy(), 0),
                  ConfigError, "expected an MMR config, got RKT", id="run-mmr-rkt-config"),
     pytest.param(lambda: run_smke(*stage_args([[0, 1], [1, 0]]), SMKE, 0), StageError,
                  "no samples with any teacher agreement; SMKE cannot run",
                  id="run-smke-all-unreliable"),
-    pytest.param(lambda: run_mmr(*stage_args(np.zeros((0, 2))), MMR, rd.AugmentPolicy(), 0),
+    pytest.param(lambda: run_mmr(*stage_args(np.zeros((0, 2)), False), MMR,
+                                 rd.AugmentPolicy(), 0),
                  StageError, "empty dataset; MMR cannot run", id="run-mmr-empty"),
 ]
 

@@ -77,12 +77,14 @@ class TestForward:
     def test_shape_mismatch(self):
         model = rd.init_student([3, 2], seed=0)
         with pytest.raises(ShapeMismatchError):
-            rd.forward(model, np.zeros((2, 5)))
+            student.forward_pass(model, np.zeros((2, 5)))
 
     def test_bitwise_repeatable(self):
         model = rd.init_student([5, 7, 3], seed=9)
         X = np.random.default_rng(4).normal(size=(6, 5))
-        assert np.array_equal(rd.forward(model, X), rd.forward(model, X))
+        (a1, h1), p1 = student.forward_pass(model, X)
+        (a2, h2), p2 = student.forward_pass(model, X)
+        assert np.array_equal(a1, a2) and np.array_equal(h1, h2) and np.array_equal(p1, p2)
 
 
 class TestCrossEntropy:
@@ -580,10 +582,20 @@ ARGUMENT_CHECKS = [
                  "activation shapes [(2, 3)] do not fit dims [3, 4, 2] at batch 2",
                  id="backprop-activations"),
     pytest.param(lambda: rd.init_optimizer(rd.init_student([3, 2], seed=7), 0.0), ConfigError,
-                 "learning rate must be positive", id="optimizer-learning-rate-zero"),
+                 "learning rate must be positive and finite", id="optimizer-learning-rate-zero"),
     pytest.param(lambda: rd.init_optimizer(rd.init_student([3, 2], seed=7), -1e-3),
-                 ConfigError, "learning rate must be positive",
+                 ConfigError, "learning rate must be positive and finite",
                  id="optimizer-learning-rate-negative"),
+    pytest.param(lambda: rd.init_optimizer(rd.init_student([3, 2], seed=7), math.nan),
+                 ConfigError, "learning rate must be positive and finite",
+                 id="optimizer-learning-rate-nan"),
+    pytest.param(lambda: rd.init_optimizer(rd.init_student([3, 2], seed=7), math.inf),
+                 ConfigError, "learning rate must be positive and finite",
+                 id="optimizer-learning-rate-inf"),
+    pytest.param(lambda: rd.AugmentPolicy(sigma_strong=math.inf), ConfigError,
+                 "need 0 <= sigma_weak <= sigma_strong < inf", id="augment-sigma-strong-inf"),
+    pytest.param(lambda: rd.AugmentPolicy(math.inf, math.inf), ConfigError,
+                 "need 0 <= sigma_weak <= sigma_strong < inf", id="augment-sigmas-inf"),
 ]
 
 

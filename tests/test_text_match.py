@@ -369,6 +369,15 @@ class TestAssignPseudoLabel:
             assert self.vocab.names[a] == permuted.names[b]
 
 
+# Ids and texts that stress the JSON Lines escaping: quotes, backslashes,
+# tabs and line breaks (U+2028 included), NUL, non-ASCII and astral
+# characters, mixed with any other non-surrogate character.
+RECORD_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\t\n\r\u2028\x00\u00e9\u4e2d\U0001f600'),
+    st.characters(blacklist_categories=("Cs",)),
+))
+
+
 class TestTeacherRecordsIO:
     def test_read_jsonl(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -380,6 +389,14 @@ class TestTeacherRecordsIO:
         records = list(rd.read_teacher_records(path))
         assert len(records) == 2
         assert records[0] == rd.TeacherRecord("s0", 0, "car")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(rd.TeacherRecord, RECORD_TEXT, st.integers(0, 2**63), RECORD_TEXT),
+                    max_size=8))
+    def test_write_read_round_trip(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("records") / "t.jsonl"
+        rd.write_teacher_records(records, path)
+        assert list(rd.read_teacher_records(path)) == records
 
     def test_records_are_yielded_as_read(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -916,7 +933,7 @@ TWO_RECORDS = [rd.TeacherRecord("s0", 0, "car"), rd.TeacherRecord("s0", 1, "bus"
 # Checks no other test reaches: (call given a scratch directory, the
 # exception it raises, that exception's message).
 ARGUMENT_CHECKS = [
-    pytest.param(lambda tmp: rd.PrecomputedTable({}), ParseError, "empty embedding table",
+    pytest.param(lambda tmp: rd.PrecomputedTable({}), DataError, "empty embedding table",
                  id="table-empty"),
     pytest.param(lambda tmp: rd.PrecomputedTable.load(write(tmp / "e.tsv", "\n\n")),
                  ParseError, "{tmp}/e.tsv: empty embedding table", id="table-file-blank"),
