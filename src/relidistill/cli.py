@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consensus, curriculum, data, fileio, metrics, student, text_match
-from .errors import ConfigError, DataError, StageError
+from .errors import ConfigError, DataError, StageError, check_int
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,8 +71,7 @@ def _read_config(args, keys: dict, required) -> dict:
     if args.seed is not None and isinstance(obj, dict):
         obj["seed"] = args.seed
     cfg = _read_object(obj, "", keys, required)
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed: must be non-negative, got {cfg['seed']}")
+    check_int(cfg["seed"], "seed")
     return cfg
 
 

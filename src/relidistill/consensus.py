@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidRowError
+from .errors import ConfigError, DataError, InvalidRowError, check_int, check_rows
 from .fileio import read_csv, write_csv
 from .seeding import MODE_TIE, derive_rng
 
@@ -44,8 +44,7 @@ class PseudoLabelMatrix:
             raise DataError("duplicate sample ids in pseudo-label matrix")
         if self.labels.shape[1] < 2:
             raise DataError("reliability needs at least 2 teachers")
-        if self.n_classes < 2:
-            raise ConfigError("need at least 2 classes")
+        self.n_classes = check_int(self.n_classes, "n_classes", 2)
         if self.labels.size and (
             self.labels.min() < 0 or self.labels.max() >= self.n_classes
         ):
@@ -157,15 +156,12 @@ def mode_labels(
     that order): ``mode_labels(m, s, p, rows=r)`` equals
     ``mode_labels(m, s, p)[r]``. None means every row.
     """
+    seed, purpose = check_int(seed, "seed"), check_int(purpose, "purpose")
     labels = matrix.labels
     if rows is None:
         rows = np.arange(matrix.n)
     else:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-            raise ConfigError("rows must be a 1-D array of row indices")
-        if rows.size and (rows.min() < 0 or rows.max() >= matrix.n):
-            raise ConfigError(f"row indices must lie in 0..{matrix.n - 1}")
+        rows = check_rows(rows, matrix.n)
         labels = labels[rows.astype(np.intp)]
     counts = _class_counts(labels, matrix.n_classes)
     out = counts.argmax(axis=1)  # the mode of every untied row
@@ -177,7 +173,7 @@ def mode_labels(
 
 def multi_hot_mask(row, n_classes: int) -> np.ndarray:
     """Boolean length-C vector: bit c set iff some teacher predicted c."""
-    row = _check_row(row)
+    row, n_classes = _check_row(row), check_int(n_classes, "n_classes", 1)
     if np.any(row >= n_classes):
         raise DataError(f"label out of range for {n_classes} classes")
     return _class_counts(row[None, :], n_classes)[0] > 0

@@ -35,7 +35,7 @@ from .consensus import (
     partition,
 )
 from .data import FeatureDataset
-from .errors import ConfigError, DataError, StageError
+from .errors import ConfigError, DataError, StageError, check_int
 from .fileio import atomic_write_text
 from .seeding import SHUFFLE, derive_rng
 from .student import (
@@ -90,8 +90,8 @@ class StageConfig:
             raise ConfigError(f"unknown stage {self.stage!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"{self.stage}: learning rate must be positive and finite")
-        if self.batch_size < 1 or self.max_iter < 1:
-            raise ConfigError(f"{self.stage}: batch size and max iter must be >= 1")
+        self.batch_size = check_int(self.batch_size, f"{self.stage}: batch_size", 1)
+        self.max_iter = check_int(self.max_iter, f"{self.stage}: max_iter", 1)
         if self.stage == STAGE_RKT:
             if self.tau is not None or self.lambda_cons is not None:
                 raise ConfigError("RKT takes neither tau nor lambda_cons")
@@ -217,7 +217,7 @@ def mmr_refine(
     suggested. Ties go to the lowest index.
     """
     probs = np.asarray(probabilities, dtype=np.float64).ravel()
-    if probs.shape[0] != n_classes:
+    if probs.shape[0] != check_int(n_classes, "n_classes", 1):
         raise DataError("probability vector length != class count")
     labels, _ = _refine_batch(probs[None, :], multi_hot_mask(row, n_classes)[None, :], tau)
     return int(labels[0])
@@ -364,6 +364,7 @@ def run_curriculum(
     when given, must equal its hidden layer widths.
     """
     started = time.perf_counter()
+    seed = check_int(seed, "seed")
     validate_stage_configs(configs)
     if policy is None:
         policy = AugmentPolicy()

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .consensus import PseudoLabelMatrix
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, check_int
 from .fileio import atomic_write_text, open_utf8, read_csv, write_csv
 from .seeding import BLOBS, TEACHER_SIM, derive_rng
 from .text_match import ClassVocab
@@ -162,14 +162,10 @@ def make_blobs(
     are rounded to float32 so in-memory data matches a file round-trip;
     a spread whose features overflow float32 (``1e300``) raises.
     """
-    if dim < 1:
-        raise ConfigError("dim must be at least 1")
-    if n_classes < 2:
-        raise ConfigError("need at least 2 classes")
-    if n_samples < n_classes:
-        raise ConfigError("need at least one sample per class")
-    if spread <= 0:
-        raise ConfigError("spread must be positive")
+    dim, n_classes = check_int(dim, "dim", 1), check_int(n_classes, "n_classes", 2)
+    n_samples = check_int(n_samples, "n_samples", n_classes)
+    if not 0 < spread < np.inf:
+        raise ConfigError("spread must be positive and finite")
     rng = derive_rng(seed, BLOBS)
     centers = _class_centers(n_classes, dim, rng)
     base = np.arange(n_samples) % n_classes  # balanced up to the remainder
@@ -210,6 +206,7 @@ class SimTeacherSpec:
             raise ConfigError("correlation must lie in [0, 1]")
         if self.confusion not in (CONFUSION_UNIFORM, CONFUSION_ADJACENT):
             raise ConfigError(f"unknown confusion model {self.confusion!r}")
+        self.seed = check_int(self.seed, "seed")
 
 
 def simulate_teachers(
@@ -217,6 +214,7 @@ def simulate_teachers(
 ) -> PseudoLabelMatrix:
     """Draw a pseudo-label matrix over ``n_classes`` classes from per-teacher
     accuracy specs; a truth label outside the classes raises."""
+    n_classes = check_int(n_classes, "n_classes", 2)
     if ds.true_labels is None:
         raise ConfigError("simulated teachers need true labels")
     if len(specs) < 2:

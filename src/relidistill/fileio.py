@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, check_int
 
 
 @contextmanager
@@ -138,6 +138,7 @@ class CsvTable:
     def check_labels(self, labels: np.ndarray, n_classes: int) -> None:
         """Raise naming the first row of ``labels`` (one row of class indices
         per table row) that holds a value outside 0..n_classes-1."""
+        n_classes = check_int(n_classes, "n_classes", 1)
         # Row extremes, not an (N, k) mask: the check's temporaries are two
         # values a row.
         bad = (labels.min(axis=1, initial=0) < 0) | (labels.max(axis=1, initial=-1) >= n_classes)

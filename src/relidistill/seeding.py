@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check_int, check_rows
 
 # Purpose namespaces. Changing a value silently reseeds every stream
 # derived under it, so these are frozen.
@@ -41,10 +41,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _seed_sequence(master_seed: int, key) -> np.random.SeedSequence:
-    parts = [int(master_seed), *(int(k) for k in key)]
-    if any(p < 0 for p in parts):
-        raise ConfigError(f"seed components must be non-negative, got {parts}")
-    return np.random.SeedSequence(parts)
+    keys = (check_int(k, f"key[{i}]") for i, k in enumerate(key))
+    return np.random.SeedSequence([check_int(master_seed, "seed"), *keys])
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -68,13 +66,9 @@ def keyed_uniform(master_seed: int, *key: int, rows, width: int) -> np.ndarray:
     j is that stream's (j + 1)-th output. The top 52 bits of an output
     map to (k + 0.5) / 2**52, so neither 0 nor 1 can occur.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-        raise ConfigError(f"rows must be a 1-D array of sample indices, got {rows!r}")
-    if rows.size and rows.min() < 0:
-        raise ConfigError(f"row indices must be non-negative, got {int(rows.min())}")
+    rows = check_rows(rows)
     k0, k1 = _seed_sequence(master_seed, key).generate_state(2, np.uint64)
     stream = _mix64(rows.astype(np.uint64) * _GAMMA + k0) ^ k1
-    lanes = np.arange(1, width + 1, dtype=np.uint64) * _GAMMA
+    lanes = np.arange(1, check_int(width, "width") + 1, dtype=np.uint64) * _GAMMA
     bits = _mix64(stream[:, None] + lanes[None, :])
     return ((bits >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ShapeMismatchError
+from .errors import ConfigError, ParseError, ShapeMismatchError, check_int
 from .fileio import atomic_write_bytes
 from .seeding import AUGMENT, INIT, derive_rng, keyed_uniform
 
@@ -43,7 +43,11 @@ EPSILON = 1e-8
 
 
 def _n_params(layer_dims: list[int]) -> int:
-    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
+    """Parameter count of ``layer_dims``, two or more integers >= 1 (else ConfigError)."""
+    if len(layer_dims) < 2:
+        raise ConfigError(f"layer_dims must hold at least 2 entries, got {layer_dims}")
+    dims = [check_int(d, f"layer_dims[{i}]", 1) for i, d in enumerate(layer_dims)]
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
 
 def _layers(layer_dims: list[int], vec: np.ndarray):
@@ -75,8 +79,6 @@ class StudentModel:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.layer_dims) < 2 or min(self.layer_dims) < 1:
-            raise ConfigError(f"bad layer dims {self.layer_dims}")
         n = _n_params(self.layer_dims)
         self.params = np.array(self.params, dtype=np.float64)
         if self.params.shape != (n,):
@@ -95,8 +97,6 @@ class StudentModel:
 
 def init_student(layer_dims: list[int], seed: int) -> StudentModel:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ConfigError(f"bad layer dims {layer_dims}")
     rng = derive_rng(seed, INIT)
     model = StudentModel(list(layer_dims), np.zeros(_n_params(layer_dims)))
     for w in model.weights:

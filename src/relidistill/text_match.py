@@ -46,6 +46,7 @@ from .errors import (
     ShapeMismatchError,
     UndefinedSimilarityError,
     UnlabeledSampleError,
+    check_int,
 )
 from .fileio import atomic_open, open_utf8
 
@@ -281,6 +282,9 @@ class ClassVocab:
     names: list[str]
 
     def __post_init__(self):
+        names = self.names
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise ConfigError("class names must be a list or tuple of strings")
         if len(self.names) < 2:
             raise ConfigError("a class vocabulary needs at least 2 classes")
         for name in self.names:
@@ -339,14 +343,31 @@ class TeacherRecord(NamedTuple):
     raw_text: str
 
 
+def _check_record(sample_id, teacher_id, text, surrogates: bool = True) -> TeacherRecord:
+    """The record of these fields, or ConfigError: the format's one rule.
+    ``sample_id`` and ``text`` are strings UTF-8 can hold (``surrogates=False``
+    skips that test) and ``teacher_id`` is an integer of at least 0."""
+    if not isinstance(sample_id, str) or not isinstance(text, str):
+        raise ConfigError("sample_id and text must be strings")
+    if surrogates:
+        try:
+            sample_id.encode("utf-8"), text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError("sample_id or text holds a lone surrogate") from None
+    # check_int's rule, with a short way for the JSON integers a reader meets.
+    if type(teacher_id) is not int or teacher_id < 0:
+        teacher_id = check_int(teacher_id, "teacher")
+    return TeacherRecord(sample_id, teacher_id, text)
+
+
 def read_teacher_records(path: str | Path) -> Iterator[TeacherRecord]:
     """Yield JSON Lines records ``{"sample_id", "teacher", "text"}`` as read.
 
-    ``sample_id`` and ``text`` are JSON strings and ``teacher`` a non-negative
-    JSON integer, or the line raises :class:`ParseError` naming ``path:line``.
-    A line is JSON when ``json.loads`` takes it, and its error is the one
-    ``json.loads`` gives, including those for an integer over Python's
-    digit limit and for nesting deeper than the recursion limit.
+    A line whose fields break :func:`_check_record`'s rule raises
+    :class:`ParseError` naming ``path:line``. A line is JSON when
+    ``json.loads`` takes it, and its error is the one ``json.loads`` gives,
+    including those for an integer over Python's digit limit and for
+    nesting deeper than the recursion limit.
     """
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -369,29 +390,23 @@ def read_teacher_records(path: str | Path) -> Iterator[TeacherRecord]:
                 raise ParseError(
                     f"{path}:{lineno}: expected keys sample_id, teacher, text"
                 ) from None
-            if not isinstance(sample_id, str) or not isinstance(text, str):
-                raise ParseError(f"{path}:{lineno}: sample_id and text must be strings")
-            # Only a \u escape can spell a lone surrogate, which no UTF-8
-            # output can hold.
-            if "\\u" in line:
-                try:
-                    sample_id.encode("utf-8"), text.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(
-                        f"{path}:{lineno}: sample_id or text holds a lone surrogate"
-                    ) from None
-            # A bool is an int to Python but not a JSON integer.
-            if type(teacher_id) is not int or teacher_id < 0:
-                raise ParseError(f"{path}:{lineno}: teacher must be a non-negative integer")
-            yield TeacherRecord(sample_id, teacher_id, text)
+            try:
+                # Only a \u escape can spell a lone surrogate in a line read as UTF-8.
+                record = _check_record(sample_id, teacher_id, text, "\\u" in line)
+            except ConfigError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            yield record
 
 
 def write_teacher_records(records: Iterable[TeacherRecord], path: str | Path) -> None:
     """Write ``records`` atomically as the JSON Lines that
     :func:`read_teacher_records` reads: one ``{"sample_id", "teacher",
-    "text"}`` object per line, in that key order, by ``json.dumps`` defaults."""
+    "text"}`` object per line, in that key order, by ``json.dumps`` defaults.
+    A record the reader would refuse raises ConfigError, and ``path`` is
+    left as it was."""
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        for sample_id, teacher_id, text in records:
+        for fields in records:
+            sample_id, teacher_id, text = _check_record(*fields)
             record = {"sample_id": sample_id, "teacher": teacher_id, "text": text}
             fh.write(json.dumps(record) + "\n")
 

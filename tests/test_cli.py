@@ -319,7 +319,8 @@ def warm_start_128_wide(data_dir: Path, tmp_path: Path, config: dict) -> None:
 # checkpoint: (edit of the data or config, exit code, stderr text).
 EARLY_RUN_FAULTS = {
     "pl-sample-missing-from-features": (drop_last_feature_row, 3, "not in the feature set"),
-    "zero-hidden-dim": (lambda d, t, c: c.update(hidden_dims=[0]), 2, "bad layer dims"),
+    "zero-hidden-dim": (lambda d, t, c: c.update(hidden_dims=[0]), 2,
+                        "layer_dims[1] must be at least 1, got 0"),
     "hidden-dims-beside-warm-start": (warm_start_128_wide, 2, "hidden_dims [7] differ"),
     "rkt-divergence": (
         lambda d, t, c: c["stages"][0].update(learning_rate=1e200), 4, "RKT: training diverged"

@@ -290,7 +290,19 @@ ARGUMENT_CHECKS = [
     ),
     pytest.param(
         lambda tmp: rd.PseudoLabelMatrix(["a"], np.zeros((1, 2)), 1),
-        ConfigError, "need at least 2 classes", id="matrix-one-class",
+        ConfigError, "n_classes must be at least 2, got 1", id="matrix-one-class",
+    ),
+    pytest.param(
+        lambda tmp: rd.PseudoLabelMatrix(["a"], np.zeros((1, 2)), 2.5),
+        ConfigError, "n_classes must be an integer, got 2.5", id="matrix-fractional-classes",
+    ),
+    pytest.param(
+        lambda tmp: rd.mode_labels(TWO_CLASS_MATRIX, 1.5),
+        ConfigError, "seed must be an integer, got 1.5", id="mode-labels-fractional-seed",
+    ),
+    pytest.param(
+        lambda tmp: rd.multi_hot_mask([0, 1], 2.0),
+        ConfigError, "n_classes must be an integer, got 2.0", id="mask-float-classes",
     ),
     pytest.param(
         lambda tmp: rd.mode_labels(TWO_CLASS_MATRIX, 1, rows=np.array([0, 3])),

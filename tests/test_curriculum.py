@@ -599,10 +599,23 @@ ARGUMENT_CHECKS = [
     pytest.param(lambda: rd.StageConfig("SMKE", math.inf, 4, 2, tau=0.7), ConfigError,
                  "SMKE: learning rate must be positive and finite", id="stage-learning-rate-inf"),
     pytest.param(lambda: rd.StageConfig("SMKE", 1e-3, 0, 2, tau=0.7), ConfigError,
-                 "SMKE: batch size and max iter must be >= 1", id="stage-batch-size-zero"),
+                 "SMKE: batch_size must be at least 1, got 0", id="stage-batch-size-zero"),
     pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 0, tau=0.9, lambda_cons=0.5),
-                 ConfigError, "MMR: batch size and max iter must be >= 1",
+                 ConfigError, "MMR: max_iter must be at least 1, got 0",
                  id="stage-max-iter-zero"),
+    # These constructed, and training then raised ZeroDivisionError or TypeError.
+    pytest.param(lambda: rd.StageConfig("RKT", 1e-3, math.inf, 2), ConfigError,
+                 "RKT: batch_size must be an integer, got inf", id="stage-batch-size-inf"),
+    pytest.param(lambda: rd.StageConfig("RKT", 1e-3, 2.5, 2), ConfigError,
+                 "RKT: batch_size must be an integer, got 2.5", id="stage-batch-size-fractional"),
+    pytest.param(lambda: rd.StageConfig("RKT", 1e-3, 4, True), ConfigError,
+                 "RKT: max_iter must be an integer, got True", id="stage-max-iter-bool"),
+    pytest.param(lambda: rd.run_curriculum(rd.FeatureDataset(["s0", "s1"], np.ones((2, 2))),
+                                           stage_args([[0, 0], [1, 1]], False)[2],
+                                           [RKT, SMKE, MMR], 1.5),
+                 ConfigError, "seed must be an integer, got 1.5", id="curriculum-fractional-seed"),
+    pytest.param(lambda: rd.mmr_refine([0.5, 0.5], [0, 1], 2.5, 0.9), ConfigError,
+                 "n_classes must be an integer, got 2.5", id="mmr-refine-fractional-classes"),
     pytest.param(lambda: rd.StageConfig("SMKE", 1e-3, 4, 2, tau=1.5), ConfigError,
                  "SMKE: tau must lie in [0, 1]", id="stage-tau-above-1"),
     pytest.param(lambda: rd.StageConfig("MMR", 1e-3, 4, 2, tau=-0.1, lambda_cons=0.5),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -190,13 +192,36 @@ ARGUMENT_CHECKS = [
     pytest.param(lambda: rd.FeatureDataset(["a", "b"], np.zeros((2, 3)), [0, -1]), DataError,
                  "true labels must be non-negative", id="labels-negative"),
     pytest.param(lambda: rd.make_blobs(10, 1, 2, 0.5, seed=0), ConfigError,
-                 "need at least 2 classes", id="blobs-one-class"),
+                 "n_classes must be at least 2, got 1", id="blobs-one-class"),
+    # These raised numpy's AxisError and a TypeError, and a bool seed ran seed 1.
+    pytest.param(lambda: rd.make_blobs(10.5, 2, 2, 0.5, seed=0), ConfigError,
+                 "n_samples must be an integer, got 10.5", id="blobs-fractional-samples"),
+    pytest.param(lambda: rd.make_blobs(10, 2, 2.0, 0.5, seed=0), ConfigError,
+                 "dim must be an integer, got 2.0", id="blobs-float-dim"),
+    pytest.param(lambda: rd.make_blobs(10, 2, 2, 0.5, seed=True), ConfigError,
+                 "seed must be an integer, got True", id="blobs-bool-seed"),
+    pytest.param(lambda: rd.make_blobs(1, 2, 2, 0.5, seed=0), ConfigError,
+                 "n_samples must be at least 2, got 1", id="blobs-fewer-samples-than-classes"),
+    # Both said "features do not fit float32".
+    pytest.param(lambda: rd.make_blobs(10, 2, 2, math.nan, seed=0), ConfigError,
+                 "spread must be positive and finite", id="blobs-spread-nan"),
+    pytest.param(lambda: rd.make_blobs(10, 2, 2, math.inf, seed=0), ConfigError,
+                 "spread must be positive and finite", id="blobs-spread-inf"),
     pytest.param(lambda: rd.SimTeacherSpec(0.5, correlation=1.5), ConfigError,
                  "correlation must lie in [0, 1]", id="spec-correlation-above-1"),
     pytest.param(lambda: rd.SimTeacherSpec(0.5, correlation=-0.5), ConfigError,
                  "correlation must lie in [0, 1]", id="spec-correlation-below-0"),
     pytest.param(lambda: rd.simulate_teachers(TWO_SAMPLES, [rd.SimTeacherSpec(0.5)], 3),
                  ConfigError, "need at least 2 teacher specs", id="simulate-one-spec"),
+    # 2.5 gave a matrix of n_classes 2.5 holding label 2; 1 raised numpy's
+    # "low >= high"; a fractional seed simulated its floor.
+    pytest.param(lambda: rd.simulate_teachers(TWO_SAMPLES, [rd.SimTeacherSpec(0.5)] * 2, 2.5),
+                 ConfigError, "n_classes must be an integer, got 2.5",
+                 id="simulate-fractional-classes"),
+    pytest.param(lambda: rd.simulate_teachers(TWO_SAMPLES, [rd.SimTeacherSpec(0.5)] * 2, 1),
+                 ConfigError, "n_classes must be at least 2, got 1", id="simulate-one-class"),
+    pytest.param(lambda: rd.SimTeacherSpec(0.7, seed=1.5), ConfigError,
+                 "seed must be an integer, got 1.5", id="spec-fractional-seed"),
     pytest.param(
         lambda: rd.simulate_teachers(TWO_SAMPLES, [rd.SimTeacherSpec(0.5)] * 2, 2),
         DataError, "true labels exceed the class count", id="simulate-label-beyond-classes",

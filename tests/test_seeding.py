@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relidistill as rd
 from relidistill.errors import ConfigError
-from relidistill.seeding import AUGMENT, keyed_uniform
+from relidistill.seeding import AUGMENT, INIT, derive_rng, keyed_uniform
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK = 2**64 - 1
@@ -85,10 +86,14 @@ class TestKeyedUniform:
 
     @pytest.mark.parametrize(
         "seed, key, rows",
-        [(-1, (AUGMENT,), [0]), (0, (AUGMENT, -2), [0]), (0, (AUGMENT,), [3, -1])],
+        [(-1, (AUGMENT,), [0]), (0, (AUGMENT, -2), [0]), (0, (AUGMENT,), [3, -1]),
+         (1.5, (AUGMENT,), [0]), (True, (AUGMENT,), [0]), (np.float64(2.0), (AUGMENT,), [0]),
+         (0, (AUGMENT, 0.5), [0]), (0, (AUGMENT, False), [0]), (0, (AUGMENT,), [True])],
     )
     def test_negative_components_rejected(self, seed, key, rows):
-        with pytest.raises(ConfigError, match="non-negative"):
+        # Fractional and bool components were floored by int(): 1.5 and True
+        # both gave seed 1's stream.
+        with pytest.raises(ConfigError, match=r"^(seed|key\[1\]|rows|row indices) must "):
             keyed_uniform(seed, *key, rows=np.array(rows), width=2)
 
     def test_rows_must_be_integer_indices(self):
@@ -96,3 +101,38 @@ class TestKeyedUniform:
             keyed_uniform(0, rows=np.array([0.5]), width=2)
         with pytest.raises(ConfigError):
             keyed_uniform(0, rows=np.zeros((2, 2), dtype=np.int64), width=2)
+
+
+def test_numpy_integers_are_the_python_ints():
+    assert np.array_equal(derive_rng(np.int64(3), np.uint8(INIT)).random(4),
+                          derive_rng(3, INIT).random(4))
+    ints = rd.make_blobs(40, 4, 3, 0.5, seed=6)
+    numpy_ints = rd.make_blobs(np.int64(40), np.int32(4), np.uint16(3), 0.5, seed=np.int64(6))
+    assert numpy_ints.sample_ids == ints.sample_ids
+    assert np.array_equal(numpy_ints.features, ints.features)
+    assert np.array_equal(numpy_ints.true_labels, ints.true_labels)
+
+
+# Checks no other test reaches: (call, the exception it raises, that
+# exception's message).
+ARGUMENT_CHECKS = [
+    pytest.param(lambda: derive_rng(1.5), ConfigError, "seed must be an integer, got 1.5",
+                 id="derive-rng-fractional-seed"),
+    pytest.param(lambda: derive_rng(True), ConfigError, "seed must be an integer, got True",
+                 id="derive-rng-bool-seed"),
+    pytest.param(lambda: derive_rng(0, INIT, 2.0), ConfigError,
+                 "key[1] must be an integer, got 2.0", id="derive-rng-float-key"),
+    pytest.param(lambda: keyed_uniform(1.9, AUGMENT, rows=[0], width=2), ConfigError,
+                 "seed must be an integer, got 1.9", id="keyed-uniform-fractional-seed"),
+    pytest.param(lambda: keyed_uniform(0, AUGMENT, rows=[0], width=-1), ConfigError,
+                 "width must be at least 0, got -1", id="keyed-uniform-negative-width"),
+    pytest.param(lambda: keyed_uniform(0, AUGMENT, rows=[0], width=2.5), ConfigError,
+                 "width must be an integer, got 2.5", id="keyed-uniform-fractional-width"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ARGUMENT_CHECKS)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -592,6 +592,15 @@ ARGUMENT_CHECKS = [
     pytest.param(lambda: rd.init_optimizer(rd.init_student([3, 2], seed=7), math.inf),
                  ConfigError, "learning rate must be positive and finite",
                  id="optimizer-learning-rate-inf"),
+    # These raised TypeError.
+    pytest.param(lambda: rd.init_student([2, 2.5, 2], seed=7), ConfigError,
+                 "layer_dims[1] must be an integer, got 2.5", id="init-fractional-dim"),
+    pytest.param(lambda: rd.StudentModel([2, 2.0], np.zeros(6)), ConfigError,
+                 "layer_dims[1] must be an integer, got 2.0", id="model-float-dim"),
+    pytest.param(lambda: rd.init_student([3], seed=7), ConfigError,
+                 "layer_dims must hold at least 2 entries, got [3]", id="init-one-dim"),
+    pytest.param(lambda: rd.init_student([3, 0], seed=7), ConfigError,
+                 "layer_dims[1] must be at least 1, got 0", id="init-zero-dim"),
     pytest.param(lambda: rd.AugmentPolicy(sigma_strong=math.inf), ConfigError,
                  "need 0 <= sigma_weak <= sigma_strong < inf", id="augment-sigma-strong-inf"),
     pytest.param(lambda: rd.AugmentPolicy(math.inf, math.inf), ConfigError,

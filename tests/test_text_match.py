@@ -376,6 +376,30 @@ RECORD_TEXT = st.text(st.one_of(
     st.sampled_from('"\\\t\n\r\u2028\x00\u00e9\u4e2d\U0001f600'),
     st.characters(blacklist_categories=("Cs",)),
 ))
+# Teacher ids the writer takes: Python and numpy integers, none negative.
+TEACHER_IDS = st.one_of(
+    st.integers(0, 2**63),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 255).map(np.uint8),
+)
+RECORDS = st.lists(st.builds(rd.TeacherRecord, RECORD_TEXT, TEACHER_IDS, RECORD_TEXT),
+                   max_size=8)
+# A sample id or text no record holds: not a string, or a string with a
+# lone surrogate, which UTF-8 cannot encode.
+NOT_RECORD_TEXT = st.one_of(
+    st.none(), st.integers(), st.just(["car"]),
+    st.builds(lambda head, tail: head + "\ud800" + tail, RECORD_TEXT, RECORD_TEXT),
+)
+NOT_TEACHER_ID = st.one_of(
+    st.integers(max_value=-1), st.integers(-9, -1).map(np.int64), st.booleans(),
+    st.floats(), st.just(np.float64(1.0)), st.none(), st.just("1"),
+)
+REFUSED_RECORD = st.one_of(
+    st.builds(rd.TeacherRecord, NOT_RECORD_TEXT, TEACHER_IDS, RECORD_TEXT),
+    st.builds(rd.TeacherRecord, RECORD_TEXT, TEACHER_IDS, NOT_RECORD_TEXT),
+    st.builds(rd.TeacherRecord, RECORD_TEXT, NOT_TEACHER_ID, RECORD_TEXT),
+)
 
 
 class TestTeacherRecordsIO:
@@ -391,12 +415,35 @@ class TestTeacherRecordsIO:
         assert records[0] == rd.TeacherRecord("s0", 0, "car")
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.builds(rd.TeacherRecord, RECORD_TEXT, st.integers(0, 2**63), RECORD_TEXT),
-                    max_size=8))
+    @given(RECORDS)
     def test_write_read_round_trip(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("records") / "t.jsonl"
         rd.write_teacher_records(records, path)
         assert list(rd.read_teacher_records(path)) == records
+
+    @settings(max_examples=100, deadline=None)
+    @given(RECORDS, REFUSED_RECORD, st.data(), st.booleans())
+    def test_writer_refuses_what_the_reader_refuses(
+        self, tmp_path_factory, records, refused, data, exists
+    ):
+        directory = tmp_path_factory.mktemp("records")
+        # The reader refuses the refused record's line, where JSON can spell it.
+        try:
+            line = json.dumps(dict(zip(["sample_id", "teacher", "text"], refused)))
+        except TypeError:
+            pass
+        else:
+            with pytest.raises(ParseError, match=":1: "):
+                list(rd.read_teacher_records(write(directory / "line.jsonl", line + "\n")))
+            (directory / "line.jsonl").unlink()
+        path = directory / "t.jsonl"
+        if exists:
+            path.write_bytes(b"old\n")
+        records.insert(data.draw(st.integers(0, len(records))), refused)
+        with pytest.raises(ConfigError):
+            rd.write_teacher_records(records, path)
+        assert [p.name for p in directory.iterdir()] == ["t.jsonl"] * exists
+        assert not exists or path.read_bytes() == b"old\n"
 
     def test_records_are_yielded_as_read(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -954,6 +1001,28 @@ ARGUMENT_CHECKS = [
     pytest.param(lambda tmp: rd.PrecomputedTable({"car": np.array([1.0])}).support("Audi"),
                  LookupMissError, "no precomputed embedding for text 'Audi'",
                  id="table-support-miss"),
+    # "ab" was the vocabulary ['a', 'b']; ["cat", 5] raised a bare TypeError.
+    pytest.param(lambda tmp: rd.ClassVocab("ab"), ConfigError,
+                 "class names must be a list or tuple of strings", id="vocab-bare-string"),
+    pytest.param(lambda tmp: rd.ClassVocab(["cat", 5]), ConfigError,
+                 "class names must be a list or tuple of strings", id="vocab-name-not-string"),
+    # The writer wrote each of these, and its reader refused them.
+    pytest.param(lambda tmp: rd.write_teacher_records([rd.TeacherRecord("s0", -1, "car")],
+                                                      tmp / "t.jsonl"),
+                 ConfigError, "teacher must be at least 0, got -1", id="write-negative-teacher"),
+    pytest.param(lambda tmp: rd.write_teacher_records([rd.TeacherRecord("s0", True, "car")],
+                                                      tmp / "t.jsonl"),
+                 ConfigError, "teacher must be an integer, got True", id="write-bool-teacher"),
+    pytest.param(lambda tmp: rd.write_teacher_records([rd.TeacherRecord("s0", 0, "a\ud800")],
+                                                      tmp / "t.jsonl"),
+                 ConfigError, "sample_id or text holds a lone surrogate",
+                 id="write-lone-surrogate"),
+    pytest.param(lambda tmp: rd.write_teacher_records([rd.TeacherRecord(5, 0, "car")],
+                                                      tmp / "t.jsonl"),
+                 ConfigError, "sample_id and text must be strings", id="write-int-sample-id"),
+    pytest.param(lambda tmp: rd.write_teacher_records([rd.TeacherRecord("s0", 0, None)],
+                                                      tmp / "t.jsonl"),
+                 ConfigError, "sample_id and text must be strings", id="write-text-none"),
     pytest.param(
         lambda tmp: rd.label_records(TWO_RECORDS, rd.ClassVocab(["car", "bus"]),
                                      rd.TrigramEmbedder(), on_unlabeled="skip"),
